@@ -209,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sub.StringVar(&c.weaken, "weaken", "", "fuzz/shrink: weaken this memory-order site one step (seeded bug)")
 	sub.IntVar(&c.index, "index", 0, "shrink: corpus entry index among the benchmark's entries")
 	sub.BoolVar(&c.verbose, "v", false, "list: include op registries and memory-order sites")
-	sub.IntVar(&c.par, "par", 0, "explore/resume: work-stealing workers (0 = use -workers, 1 = sequential engine)")
+	sub.IntVar(&c.par, "par", 0, "explore/resume: work-stealing workers (0 = use -workers, 1 = one worker)")
 	sub.IntVar(&c.maxExecs, "max", 0, "explore/resume: total execution budget incl. checkpointed work (0 = exhaustive)")
 	sub.StringVar(&c.checkpointPath, "checkpoint", "", "explore/resume: write the exploration checkpoint to this file")
 	sub.DurationVar(&c.checkpointEvery, "checkpoint-every", 0, "explore/resume: also checkpoint periodically at this interval")
@@ -824,7 +824,7 @@ func (c *cli) exploreCmd(name string) int {
 // envelope's -nocache/-nokernelopts switches are adopted so the resumed
 // half explores under the exact configuration of the first half. With
 // -verify the result is additionally checked bit-identical against a
-// fresh sequential exploration. Re-checkpointing goes back to the same
+// fresh one-worker exploration. Re-checkpointing goes back to the same
 // file unless -checkpoint names another.
 func (c *cli) resumeCmd(path string) int {
 	cf, err := harness.ReadCheckpointFile(path)
@@ -908,10 +908,10 @@ func (c *cli) verifyResumed(b *harness.Benchmark, resumed *checker.Result) int {
 		seq.Pruned != resumed.Pruned,
 		seq.Exhausted != resumed.Exhausted,
 		seq.FailureCount != resumed.FailureCount:
-		fmt.Fprintf(c.stderr, "verify FAILED: sequential %+v vs resumed %+v\n", seq, resumed)
+		fmt.Fprintf(c.stderr, "verify FAILED: fresh %+v vs resumed %+v\n", seq, resumed)
 		return 1
 	case harness.ResumeComparableStats(seq.Stats) != harness.ResumeComparableStats(resumed.Stats):
-		fmt.Fprintf(c.stderr, "verify FAILED: stats diverge\n  sequential: %+v\n  resumed:    %+v\n",
+		fmt.Fprintf(c.stderr, "verify FAILED: stats diverge\n  fresh:   %+v\n  resumed: %+v\n",
 			harness.ResumeComparableStats(seq.Stats), harness.ResumeComparableStats(resumed.Stats))
 		return 1
 	}
@@ -923,7 +923,7 @@ func (c *cli) verifyResumed(b *harness.Benchmark, resumed *checker.Result) int {
 			return 1
 		}
 	}
-	fmt.Fprintln(c.stdout, "verify OK: resumed result is bit-identical to a fresh sequential exploration")
+	fmt.Fprintln(c.stdout, "verify OK: resumed result is bit-identical to a fresh one-worker exploration")
 	return 0
 }
 

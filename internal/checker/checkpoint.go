@@ -169,14 +169,14 @@ func (e *wsEngine) checkpoint(baseElapsed time.Duration) *Checkpoint {
 
 // taskPath serializes a pending task's frozen path.
 func taskPath(t *wsTask) []CheckpointDecision {
-	path := t.path()
-	out := make([]CheckpointDecision, len(path))
-	for i, d := range path {
-		cd := CheckpointDecision{Kind: kindName(d.kind), Branch: d.chosen}
-		if d.kind == 's' {
-			cd.Cands = append([]int(nil), d.cands...)
+	nodes := t.ancestry(nil)
+	out := make([]CheckpointDecision, len(nodes))
+	for i, n := range nodes {
+		cd := CheckpointDecision{Kind: kindName(n.kind), Branch: n.branch}
+		if n.kind == 's' {
+			cd.Cands = append([]int(nil), n.cands...)
 		} else {
-			cd.N = d.n
+			cd.N = n.n
 		}
 		out[i] = cd
 	}
@@ -232,11 +232,11 @@ func pathNodes(path []CheckpointDecision) *fnode {
 		if err != nil {
 			panic(fmt.Sprintf("checker: %v", err))
 		}
-		fn := &fnode{parent: parent, depth: i, kind: k, n: d.N, branch: d.Branch}
+		var cands []int
 		if k == 's' {
-			fn.cands = append([]int(nil), d.Cands...)
+			cands = append([]int(nil), d.Cands...)
 		}
-		parent = fn
+		parent = &fnode{parent: parent, depth: i, kind: k, n: d.N, cands: cands, branch: d.Branch}
 	}
 	return parent
 }

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,9 +74,9 @@ func TestExplorePanicsOnInvalidConfig(t *testing.T) {
 }
 
 // routingProg is a tiny exhaustible program (relaxed SB) for the routing
-// tests: sequential DFS exhausts it in well under 100 executions, so a
+// tests: DFS exhausts it in well under 100 executions, so a
 // bounded sampling engine (Executions == budget, Exhausted == false) is
-// distinguishable from the DFS engines (Exhausted == true).
+// distinguishable from the DFS engine (Exhausted == true).
 func routingProg(root *Thread) {
 	x := root.NewAtomicInit("x", 0)
 	y := root.NewAtomicInit("y", 0)
@@ -91,30 +92,44 @@ func routingProg(root *Thread) {
 	root.Join(b)
 }
 
-// TestEngineRoutingPrecedence pins the documented routing table
-// (FastMode > RandomWalk > work-stealing engine > sequential DFS) through
+// TestEngineRoutingPrecedence pins the documented three-level routing
+// table (FastMode > RandomWalk > the work-stealing DFS engine) through
 // observable engine behavior. The FastMode-vs-RandomWalk edge needs no
 // routing pin anymore: Validate rejects the combination outright.
 func TestEngineRoutingPrecedence(t *testing.T) {
-	// Sequential DFS baseline: exhausts.
-	seq := Explore(Config{}, routingProg)
-	if !seq.Exhausted {
-		t.Fatalf("sequential DFS did not exhaust: %v", seq)
+	// The DFS engine serves every other run, at any Parallelism: it
+	// exhausts, delivers the final checkpoint snapshot, and its result
+	// does not depend on the worker count.
+	var dfs *Result
+	for _, par := range []int{0, 1, 4} {
+		cpCalls := 0
+		res := Explore(Config{Parallelism: par, Checkpoint: func(*Checkpoint) { cpCalls++ }}, routingProg)
+		if !res.Exhausted {
+			t.Fatalf("Parallelism %d: DFS did not exhaust: %v", par, res)
+		}
+		if cpCalls == 0 {
+			t.Errorf("Parallelism %d: the DFS engine never delivered the final checkpoint snapshot", par)
+		}
+		if dfs == nil {
+			dfs = res
+		} else {
+			requireIdentical(t, fmt.Sprintf("Parallelism %d", par), dfs, res)
+		}
 	}
-	if seq.Executions >= 100 {
-		t.Fatalf("routing program too large for the routing probes: %d executions", seq.Executions)
+	if dfs.Executions >= 100 {
+		t.Fatalf("routing program too large for the routing probes: %d executions", dfs.Executions)
 	}
 
-	// FastMode outranks the work-stealing engine: even with Parallelism
-	// set, the run is a fixed sampling budget, never an exhausting DFS.
+	// FastMode outranks the DFS engine: even with Parallelism set, the run
+	// is a fixed sampling budget, never an exhausting DFS.
 	fast := Explore(Config{FastMode: true, MaxExecutions: 100, Parallelism: 4, Seed: 3}, routingProg)
 	if fast.Exhausted || fast.Executions != 100 {
 		t.Errorf("FastMode + Parallelism routed wrong: exhausted=%v executions=%d, want false/100",
 			fast.Exhausted, fast.Executions)
 	}
 
-	// RandomWalk outranks the work-stealing engine, and its documented-
-	// ignored Checkpoint stays ignored (walks have no frontier).
+	// RandomWalk outranks the DFS engine, and its documented-ignored
+	// Checkpoint stays ignored (walks have no frontier).
 	cpCalls := 0
 	walk := Explore(Config{RandomWalk: 120, Parallelism: 4, Seed: 3, Checkpoint: func(*Checkpoint) { cpCalls++ }}, routingProg)
 	if walk.Exhausted || walk.Executions != 120 {
@@ -123,17 +138,5 @@ func TestEngineRoutingPrecedence(t *testing.T) {
 	}
 	if cpCalls != 0 {
 		t.Errorf("RandomWalk invoked the Checkpoint callback %d times; walks do not checkpoint", cpCalls)
-	}
-
-	// A checkpoint request routes Parallelism <= 1 through the
-	// work-stealing engine (the callback fires at least once, for the
-	// final snapshot) and stays bit-identical to sequential DFS.
-	cpCalls = 0
-	eng := Explore(Config{Checkpoint: func(*Checkpoint) { cpCalls++ }}, routingProg)
-	if cpCalls == 0 {
-		t.Error("work-stealing engine never delivered the final checkpoint snapshot")
-	}
-	if !eng.Exhausted || eng.Executions != seq.Executions || eng.Feasible != seq.Feasible || eng.Pruned != seq.Pruned {
-		t.Errorf("engine result differs from sequential DFS:\n engine:     %v\n sequential: %v", eng, seq)
 	}
 }

@@ -36,13 +36,13 @@ type Config struct {
 	// (0 = exhaustive). It applies to both DFS and RandomWalk mode.
 	MaxExecutions int
 	// Parallelism is the number of worker goroutines exploring
-	// concurrently (0 or 1 = sequential). DFS mode explores with
+	// concurrently (0 or 1 = one worker). DFS mode explores with
 	// work-stealing over decision subtrees — each worker owns a Chase-Lev
 	// deque of frontier tasks and steals when dry — while folding every
 	// task's result at its canonical decision-path position, so an
-	// exhaustive parallel run returns bit-identical
+	// exhaustive run returns bit-identical
 	// Executions/Feasible/Pruned/Failures/Stats (timings and scheduler
-	// telemetry aside) to the sequential run. RandomWalk mode shards the
+	// telemetry aside) at every worker count. RandomWalk mode shards the
 	// walk count, with each worker drawing from an independent seed
 	// derived from Seed. When Parallelism > 1 the OnRunStart and
 	// OnExecution hooks must be safe for concurrent use (each call still
@@ -69,9 +69,7 @@ type Config struct {
 	//
 	//	1. FastMode       — single-pass plausible executions, O(live state)
 	//	2. RandomWalk > 0 — uniform random walks with full bookkeeping
-	//	3. Parallelism > 1 or checkpoint/resume/interrupt configured
-	//	                  — work-stealing DFS engine
-	//	4. otherwise      — sequential DFS
+	//	3. otherwise      — the work-stealing DFS engine, at any Parallelism
 	//
 	// FastMode and RandomWalk honor Parallelism by sharding their run
 	// budget over contiguous index blocks with per-run derived seeds, so
@@ -118,8 +116,8 @@ type Config struct {
 	// rf-class subtree pruning over a shared seen-set, thread-symmetry
 	// canonicalization, and spinloop/await bounding. Zero value = no
 	// reduction (the pre-reduction explorer). Each mechanism is
-	// independently toggleable and composes with every DFS engine
-	// (sequential and work-stealing) and every Model backend; RandomWalk
+	// independently toggleable and composes with the DFS engine at any
+	// Parallelism and with every Model backend; RandomWalk
 	// supports only Spinloop, and FastMode supports none (Validate
 	// rejects the other combinations). The behavior set — spec
 	// fingerprints and failure kinds — is preserved exactly; see
@@ -165,15 +163,15 @@ type Config struct {
 	OnExecution func(sys *System) []*Failure
 	// NewScratch, when set, is called once per exploration shard and its
 	// result is exposed to the hooks as System.Scratch for every execution
-	// of that shard. A shard's boundaries coincide between sequential and
-	// parallel DFS: each branch of the root decision node is one shard (in
-	// RandomWalk mode each worker is a shard). The CDSSpec layer keeps its
-	// spec-check memoization cache here — the alignment is what keeps
-	// cache-derived Stats counters bit-identical between exhaustive
-	// sequential and parallel runs. Under parallel DFS several workers may
-	// explore one shard concurrently (work-stealing carves shards into
-	// subtree tasks), so when Parallelism > 1 the scratch value must be
-	// safe for concurrent use; the CDSSpec cache locks internally.
+	// of that shard. In DFS mode each branch of the root decision node is
+	// one shard, whichever workers explore it (in RandomWalk and FastMode
+	// each run is a shard). The CDSSpec layer keeps its spec-check
+	// memoization cache here — tying shards to the decision tree rather
+	// than to workers is what keeps cache-derived Stats counters
+	// bit-identical at every worker count. Several workers may explore one
+	// shard concurrently (work-stealing carves shards into subtree tasks),
+	// so when Parallelism > 1 the scratch value must be safe for
+	// concurrent use; the CDSSpec cache locks internally.
 	NewScratch func() any
 	// Progress, when set, receives a periodic snapshot of the running
 	// exploration every ProgressInterval, plus a closing snapshot with
@@ -190,8 +188,7 @@ type Config struct {
 	// Result/Stats accumulated so far (see Checkpoint). It is called
 	// every CheckpointEvery (when positive) and once more after the
 	// workers stop — whether the run completed, hit MaxExecutions, or was
-	// interrupted — never concurrently with itself. Setting it routes
-	// even Parallelism <= 1 runs through the work-stealing engine.
+	// interrupted — never concurrently with itself, at any Parallelism.
 	// RandomWalk mode does not checkpoint (walks are independent; rerun
 	// the missing count instead).
 	Checkpoint func(*Checkpoint)
@@ -265,11 +262,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("checker: RandomWalk supports only the spinloop reduction — rf and symmetry prune DFS subtrees, which independent walks do not have (got Reduce=%s)", c.Reduce)
 	}
 	// A negative interval previously fell through every `> 0` guard and
-	// behaved as 0 (final snapshot only) while still routing the run
-	// through the work-stealing engine — reject it instead of silently
-	// reinterpreting it. An interval with no Checkpoint sink likewise
-	// forced the engine and ticked a snapshot loop whose output went
-	// nowhere; the caller who wanted periodic checkpoints got none.
+	// behaved as 0 (final snapshot only) — reject it instead of silently
+	// reinterpreting it. An interval with no Checkpoint sink would tick
+	// nothing; the caller who wanted periodic checkpoints would get none.
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("checker: CheckpointEvery must be >= 0, got %v", c.CheckpointEvery)
 	}
@@ -277,12 +272,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("checker: CheckpointEvery %v has no Checkpoint sink to deliver snapshots to — set Config.Checkpoint (0 with a sink means final snapshot only)", c.CheckpointEvery)
 	}
 	return nil
-}
-
-// wantsEngine reports whether checkpoint/resume/interrupt plumbing
-// requires the work-stealing engine even at Parallelism <= 1.
-func (c *Config) wantsEngine() bool {
-	return c.Checkpoint != nil || c.CheckpointEvery > 0 || c.ResumeFrom != nil || c.Interrupt != nil
 }
 
 func (c *Config) withDefaults() *Config {
@@ -340,8 +329,8 @@ type Result struct {
 	// (false when MaxExecutions or StopAtFirst cut it short).
 	Exhausted bool `json:"exhausted"`
 	// Stats breaks down where the executions and time went. On exhaustive
-	// runs every field except the timings is bit-identical between
-	// sequential and parallel exploration.
+	// runs every field except the timings and scheduler telemetry is
+	// bit-identical at every worker count.
 	Stats Stats `json:"stats"`
 }
 
@@ -400,10 +389,10 @@ type decision struct {
 
 	// callIdx is the dfsChooser vlog position the node corresponds to:
 	// value-site records strictly below it stay valid when the node's
-	// chosen branch advances (for a value node it counts the node's own
+	// chosen branch changes (for a value node it counts the node's own
 	// record, appended just before the node was created — the record is
-	// a function of the execution state, never of the choice). advance
-	// truncates the vlog validity to it when backtracking to the node.
+	// a function of the execution state, never of the choice). Moving the
+	// chooser to a sibling branch truncates the vlog validity to it.
 	callIdx int
 }
 
@@ -413,12 +402,12 @@ type dfsChooser struct {
 	depth        int
 	disableRF    bool
 	disableSleep bool
-	// stats receives decision counters; the explorer points it at the
-	// Result the chooser's executions are folded into. Fresh decision
-	// nodes count as branch points, replayed ones as ReplayedDecisions —
-	// tallies that match sequential DFS exactly when a parallel worker
-	// replays a frozen prefix, because the worker's stack is the same
-	// stack sequential DFS holds inside that subtree.
+	// stats receives decision counters; the engine points it at the leaf
+	// Result of the task being run. Fresh decision nodes count as branch
+	// points, replayed ones as ReplayedDecisions — tallies that do not
+	// depend on which worker runs a task, because replaying a frozen
+	// prefix re-drives exactly the stack the canonical depth-first order
+	// holds inside that subtree.
 	stats *Stats
 
 	// pin enables the frozen-prefix replay fast path: vlog records the
@@ -426,9 +415,9 @@ type dfsChooser struct {
 	// current execution in call order; positions below vvalid were
 	// recorded by a previous execution of the identical prefix and are
 	// served back (vpos is the cursor), positions at and past it are
-	// computed fresh and appended. advance rewinds vvalid to the
-	// backtracked node's callIdx — the calls before that node are the
-	// ones its new branch replays unchanged.
+	// computed fresh and appended. Moving to a new task rewinds vvalid to
+	// the first changed node's callIdx — the calls before that node are
+	// the ones its new branch replays unchanged.
 	pin    bool
 	vlog   []floorRec
 	vpos   int
@@ -438,6 +427,10 @@ type dfsChooser struct {
 	// candsBuf backs pickThread's candidate filtering, copied only when
 	// a fresh decision node retains the candidate list.
 	candsBuf []int
+	// nodes holds the frontier node of every entry of decisions (same
+	// length after each task), so that a task whose parent is on the
+	// current path can be entered in place (see enter).
+	nodes []*fnode
 }
 
 // pinnedFloor serves the next recorded value-site computation while the
@@ -462,20 +455,6 @@ func (d *dfsChooser) noteFloor(rec floorRec) *floorRec {
 	d.vpos = len(d.vlog)
 	d.vvalid = d.vpos
 	return &d.vlog[d.vpos-1]
-}
-
-// rewindVlog resets the cursor for the next execution, keeping records
-// below the backtracked node's call position valid.
-func (d *dfsChooser) rewindVlog(nd *decision) {
-	if !d.pin {
-		return
-	}
-	v := nd.callIdx
-	if v > len(d.vlog) {
-		v = len(d.vlog)
-	}
-	d.vvalid = v
-	d.vpos = 0
 }
 
 // noteDecision updates the branch/replay counters for one decision with
@@ -514,9 +493,8 @@ func (d *dfsChooser) choose(n int, kind byte) int {
 	if d.depth < len(d.decisions) {
 		// Refresh callIdx while replaying: it is a pure function of the
 		// path (the vlog position when the node is reached), so recomputing
-		// it here keeps prefixes handed over by the work-stealing engine —
-		// which copies decisions between choosers without vlog context —
-		// valid anchors for the next resetTo.
+		// it here keeps decisions rebuilt from frontier nodes — which carry
+		// no vlog context — valid anchors for the next enter.
 		d.decisions[d.depth].callIdx = d.vpos
 		c := d.decisions[d.depth].chosen
 		d.depth++
@@ -598,126 +576,67 @@ func (d *dfsChooser) pickThread(s *System, enabled []*Thread) *Thread {
 	return s.threads[cands[0]]
 }
 
-// advance moves to the next leaf of the decision tree; it reports false
-// when the space is exhausted.
-func (d *dfsChooser) advance() bool { return d.advanceFrom(0) }
-
-// advanceFrom is advance restricted to decisions at depth >= floor; the
-// prefix below floor is frozen. The parallel explorer uses it to keep a
-// worker inside its assigned subtree.
-func (d *dfsChooser) advanceFrom(floor int) bool {
-	for i := len(d.decisions) - 1; i >= floor; i-- {
-		nd := &d.decisions[i]
-		if nd.kind == 's' {
-			nd.explored = append(nd.explored, nd.cands[nd.chosen])
-			next := nextUnexplored(nd.cands, nd.explored)
-			if next >= 0 {
-				nd.chosen = next
-				d.decisions = d.decisions[:i+1]
-				d.depth = 0
-				d.rewindVlog(nd)
-				return true
-			}
-			continue // node exhausted: pop
+// enter positions the chooser on task t's frozen path and returns the
+// path length. When t's parent is the node the current path holds one
+// level up — every pop at one worker outside a resume, where the deque
+// holds only siblings of the current path — the prefix is already in
+// place and only the one changed decision is rewritten. Otherwise (a
+// steal, a resumed task) the path is rebuilt from t's ancestry and kept
+// up to its first difference from the current one.
+//
+// For 's' nodes the explored set is cands[:branch]: the canonical DFS
+// order explores candidates in cands order, so by the time it reaches
+// branch b exactly the candidates before b are explored — replaying them
+// asleep preserves the sleep-set reduction bit-for-bit.
+func (d *dfsChooser) enter(t *wsTask) int {
+	n := t.node
+	k := 0 // the first decision that changes
+	switch {
+	case n == nil:
+		d.nodes = d.nodes[:0]
+	case n.depth < len(d.decisions) && (n.depth == 0 || d.nodes[n.depth-1] == n.parent):
+		k = n.depth
+		d.nodes = append(d.nodes[:k], n)
+	default:
+		d.nodes = t.ancestry(d.nodes)
+		for k < len(d.decisions) && k < len(d.nodes) &&
+			d.decisions[k].kind == d.nodes[k].kind && d.decisions[k].chosen == d.nodes[k].branch {
+			k++
 		}
-		if nd.chosen+1 < nd.n {
-			nd.chosen++
-			d.decisions = d.decisions[:i+1]
-			d.depth = 0
-			d.rewindVlog(nd)
-			return true
-		}
-	}
-	return false
-}
-
-// resetTo repositions the chooser on a frozen decision path — the
-// work-stealing engine's replacement for advance. The new path and the
-// chooser's current decisions agree up to their first differing choice;
-// value-site records recorded strictly below that node's call position
-// stay valid for replay pinning, exactly as rewindVlog arranges when
-// advance flips the same node. When the chooser carries no usable prefix
-// (fresh worker, or a steal that shares nothing) the vlog conservatively
-// invalidates entirely.
-func (d *dfsChooser) resetTo(path []decision) {
-	div := 0
-	for div < len(d.decisions) && div < len(path) &&
-		d.decisions[div].kind == path[div].kind && d.decisions[div].chosen == path[div].chosen {
-		div++
 	}
 	if d.pin {
-		v := 0
-		if div < len(d.decisions) {
-			// d.decisions[div] was replayed or created by the previous
-			// execution, so its callIdx is current (see choose).
-			v = d.decisions[div].callIdx
-			if v > len(d.vlog) {
-				v = len(d.vlog)
-			}
+		// Value-site records strictly below the first changed node's call
+		// position stay valid for replay pinning. d.decisions[k] was
+		// replayed or created by the previous execution, so its callIdx is
+		// current (see choose); with no such node the vlog conservatively
+		// invalidates entirely.
+		d.vvalid = 0
+		if k < len(d.decisions) {
+			d.vvalid = min(d.decisions[k].callIdx, len(d.vlog))
 		}
-		d.vvalid = v
 		d.vpos = 0
 	}
-	d.decisions = append(d.decisions[:0], path...)
+	d.decisions = d.decisions[:k]
+	for _, m := range d.nodes[k:] {
+		nd := decision{kind: m.kind, n: m.n, chosen: m.branch}
+		if m.kind == 's' {
+			nd.cands = m.cands
+			nd.explored = m.cands[:m.branch]
+		}
+		d.decisions = append(d.decisions, nd)
+	}
 	d.depth = 0
+	return len(d.nodes)
 }
 
-// rootBranch identifies the branch of the root decision node the chooser
-// currently sits in (0 before any decision is recorded, or for a run with
-// a deterministic first choice). DFS advances the root node's chosen
-// branch monotonically, so a change in this value marks the boundary
-// between two subtrees of the root decision — the shard boundary.
+// rootBranch is the branch the current path takes at the root decision
+// node — the shard its executions belong to (see Config.NewScratch). The
+// empty path is shard 0.
 func (d *dfsChooser) rootBranch() int {
-	if len(d.decisions) == 0 {
+	if len(d.nodes) == 0 {
 		return 0
 	}
-	return d.decisions[0].chosen
-}
-
-// nextUnexplored returns the index of the first candidate whose subtree
-// is not yet explored, or -1. Thread ids are small, so membership is one
-// bitmask over ids — O(cands + explored) — instead of the quadratic
-// scan-per-candidate it replaces (hot on wide scheduling nodes: the scan
-// runs at every backtrack). Ids past the mask width fall back to the
-// linear scan, which remains the reference implementation (benchmarked
-// against it in explorer_bench_test.go).
-func nextUnexplored(cands, explored []int) int {
-	var mask uint64
-	for _, tid := range explored {
-		if tid >= 64 {
-			return nextUnexploredSlow(cands, explored)
-		}
-		mask |= 1 << uint(tid)
-	}
-	for j, tid := range cands {
-		if tid >= 64 {
-			return nextUnexploredSlow(cands, explored)
-		}
-		if mask&(1<<uint(tid)) == 0 {
-			return j
-		}
-	}
-	return -1
-}
-
-// nextUnexploredSlow is the pre-bitmask scan, kept as the fallback for
-// thread ids beyond the mask width.
-func nextUnexploredSlow(cands, explored []int) int {
-	for j, tid := range cands {
-		if !contains(explored, tid) {
-			return j
-		}
-	}
-	return -1
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return d.nodes[0].branch
 }
 
 // randChooser draws every decision uniformly at random.
@@ -911,57 +830,14 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 		defer c.progress.close()
 	}
 	// Engine routing — the precedence documented on Config.RandomWalk:
-	// FastMode > RandomWalk > work-stealing engine > sequential DFS.
-	// (Before this was pinned, RandomWalk > 0 with Parallelism > 1
-	// silently routed into the parallel DFS branch's walk shards.)
+	// FastMode > RandomWalk > the work-stealing DFS engine.
 	switch {
 	case c.FastMode:
 		return exploreFast(c, root)
 	case c.RandomWalk > 0:
 		return exploreRandomWalk(c, root)
-	case c.Parallelism > 1 || c.wantsEngine():
-		return exploreParallel(c, root)
 	}
-	res := &Result{}
-	start := time.Now()
-	defer func() { res.Elapsed = time.Since(start) }()
-	defer func() {
-		if c.rfSeen != nil {
-			// Exact final class count (the per-run snapshots in runOne are
-			// monotone but may trail the registry).
-			res.Stats.RFClasses = int(c.rfSeen.classes.Load())
-		}
-	}()
-
-	d := newDFSChooser(c)
-	d.stats = &res.Stats
-	// Each branch of the root decision node is one shard — the same
-	// partition parallel DFS uses for its tasks, so shard-scoped state
-	// (spec caches) behaves identically in both modes. The execution pool
-	// is also shard-scoped only because a shard is single-threaded; its
-	// contents are mechanical, so carrying one pool across branches is
-	// equally sound — but keeping the scopes aligned keeps the
-	// sequential/parallel correspondence easy to reason about.
-	scratch := c.newScratch()
-	pool := newExecPool(c)
-	branch := d.rootBranch()
-	for {
-		failed := runOne(c, res, d, root, scratch, pool)
-		if failed && c.StopAtFirst {
-			return res
-		}
-		if c.MaxExecutions > 0 && res.Executions >= c.MaxExecutions {
-			return res
-		}
-		if !d.advance() {
-			res.Exhausted = true
-			return res
-		}
-		if rb := d.rootBranch(); rb != branch {
-			branch = rb
-			scratch = c.newScratch()
-		}
-	}
+	return exploreWorkSteal(c, root)
 }
 
 // runExecution performs a single execution under the given chooser,

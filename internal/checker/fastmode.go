@@ -188,7 +188,6 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 		return res
 	}
 	b := newBounds(0, 0)
-	defer b.cancel()
 	starts := make([]int, workers+1)
 	for w := 0; w < workers; w++ {
 		n := total / workers

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -8,7 +9,7 @@ import (
 // This file implements the decision frontier of the work-stealing
 // explorer: the set of unexplored decision-tree branches, each tagged
 // with its canonical decision path, plus the ordered fold list that
-// merges per-branch results back into the sequential DFS order.
+// merges per-branch results back into the canonical depth-first order.
 //
 // A frontier entry (wsTask) is one unexplored branch of one decision
 // node, identified by the frozen path from the root to that branch. A
@@ -17,8 +18,8 @@ import (
 // (the chooser's fresh-node default), and reaches one leaf. Every fresh
 // multi-way node discovered along the way contributes its remaining
 // branches as new frontier entries. Leaves therefore correspond one-to-
-// one with (node, branch) pairs, the same bijection sequential DFS walks
-// with advance().
+// one with (node, branch) pairs, the bijection a depth-first walk of the
+// decision tree enumerates.
 
 // fnode is one decision along a task's frozen path. Paths share their
 // ancestry: sibling tasks point at the same parent chain, so the frontier
@@ -28,8 +29,8 @@ type fnode struct {
 	// depth is the number of ancestors (the root decision node is 0).
 	depth int
 	// kind, n, cands mirror the decision fields: 's' nodes use cands
-	// (shared, read-only across siblings), value nodes ('r'/'c'/'l')
-	// use n.
+	// (shared with the siblings and with the decision that opened the
+	// node; never mutated), value nodes ('r'/'c'/'l') use n.
 	kind  byte
 	n     int
 	cands []int
@@ -55,40 +56,16 @@ type wsTask struct {
 	cell *foldCell
 }
 
-// path materializes the frozen decision path as a chooser prefix. For
-// 's' nodes the explored set is cands[:branch]: sequential DFS explores
-// candidates in cands order, so by the time it reaches branch b exactly
-// the candidates before b are explored — replaying them asleep preserves
-// the sleep-set reduction bit-for-bit.
-func (t *wsTask) path() []decision {
-	depth := 0
+// ancestry returns the nodes of t's frozen path, root first, reusing buf.
+func (t *wsTask) ancestry(buf []*fnode) []*fnode {
+	if t.node == nil {
+		return buf[:0]
+	}
+	buf = slices.Grow(buf[:0], t.node.depth+1)[:t.node.depth+1]
 	for n := t.node; n != nil; n = n.parent {
-		depth++
+		buf[n.depth] = n
 	}
-	out := make([]decision, depth)
-	for n := t.node; n != nil; n = n.parent {
-		depth--
-		d := decision{kind: n.kind, n: n.n, chosen: n.branch}
-		if n.kind == 's' {
-			d.cands = n.cands
-			d.explored = n.cands[:n.branch]
-		}
-		out[depth] = d
-	}
-	return out
-}
-
-// rootBranch is the branch taken at the root decision node — the shard
-// the task belongs to (see Config.NewScratch). The empty path is shard 0.
-func (t *wsTask) rootBranch() int {
-	n := t.node
-	for n != nil && n.parent != nil {
-		n = n.parent
-	}
-	if n == nil {
-		return 0
-	}
-	return n.branch
+	return buf
 }
 
 // foldCell is one slot of the fold list: either a completed region's
@@ -103,11 +80,11 @@ type foldCell struct {
 // linked alternation of done results and pending tasks, kept in canonical
 // decision-path order. Completing a task replaces its cell with the
 // leaf's result followed by its newly discovered subtasks (in the order
-// sequential DFS would visit them) and coalesces adjacent done cells, so
+// a depth-first walk visits them) and coalesces adjacent done cells, so
 // when the frontier drains the list collapses to a single cell holding
-// the bit-identical sequential Result — regardless of which worker ran
-// which task in which order. The list is also the checkpoint: its cell
-// sequence is exactly the state a resumed run needs.
+// the Result of the canonical depth-first order — regardless of which
+// worker ran which task in which order. The list is also the checkpoint:
+// its cell sequence is exactly the state a resumed run needs.
 type foldList struct {
 	mu          sync.Mutex
 	head, tail  *foldCell
@@ -145,16 +122,21 @@ func (l *foldList) appendCell(c *foldCell) {
 // discovered during the execution (already in fold order: deepest fresh
 // node first, branches ascending), and coalesces adjacent done cells.
 // Subtasks get their cell assigned here, before the caller publishes them
-// to any deque.
-func (l *foldList) complete(t *wsTask, leaf *Result, subs []*wsTask) {
+// to any deque. It reports whether leaf stayed in the list; when it did
+// not, leaf was merged into its left neighbour and the caller may reuse
+// it.
+func (l *foldList) complete(t *wsTask, leaf *Result, subs []*wsTask) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := t.cell
+	t.cell = nil
 	c.task = nil
 	c.res = leaf
 	cursor := c
-	for _, s := range subs {
-		nc := &foldCell{task: s, prev: cursor, next: cursor.next}
+	cells := make([]foldCell, len(subs))
+	for i, s := range subs {
+		nc := &cells[i]
+		*nc = foldCell{task: s, prev: cursor, next: cursor.next}
 		if cursor.next != nil {
 			cursor.next.prev = nc
 		} else {
@@ -168,15 +150,19 @@ func (l *foldList) complete(t *wsTask, leaf *Result, subs []*wsTask) {
 	if int(n) > l.maxFrontier {
 		l.maxFrontier = int(n)
 	}
-	l.coalesce(c)
+	return l.coalesce(c) == c
 }
 
-// coalesce merges c with adjacent done cells. Merging right-into-left in
-// list order reproduces the sequential failure numbering and retention:
-// the right region's failure indices shift by the left region's
-// execution count, and the concatenation is re-capped at maxFailures —
-// exactly what Result.record would have kept running sequentially.
-func (l *foldList) coalesce(c *foldCell) {
+// coalesce merges c with adjacent done cells and returns the cell that
+// holds the merged region. Merging right-into-left in list order
+// reproduces the depth-first failure numbering and retention: the right
+// region's failure indices shift by the left region's execution count,
+// and the concatenation is re-capped at maxFailures — exactly what
+// Result.record keeps when one chooser runs the region's executions in
+// order. Every unlinked cell is zeroed, so a completed task still
+// reachable from a stale deque slot pins neither its neighbours nor their
+// results.
+func (l *foldList) coalesce(c *foldCell) *foldCell {
 	for c.prev != nil && c.prev.res != nil {
 		p := c.prev
 		mergeResults(p.res, c.res, l.maxFailures)
@@ -186,6 +172,7 @@ func (l *foldList) coalesce(c *foldCell) {
 		} else {
 			l.tail = p
 		}
+		*c = foldCell{}
 		c = p
 	}
 	for c.next != nil && c.next.res != nil {
@@ -197,7 +184,9 @@ func (l *foldList) coalesce(c *foldCell) {
 		} else {
 			l.tail = c
 		}
+		*n = foldCell{}
 	}
+	return c
 }
 
 // pendingCount is the number of outstanding task cells.
@@ -210,19 +199,26 @@ func (l *foldList) frontierHighWater() int {
 	return l.maxFrontier
 }
 
-// foldResult folds the done cells in list order into a fresh Result,
-// skipping pending cells (present only when the run was cut short). On a
-// drained frontier the list is a single done cell and the fold is the
-// identity. Destructive on the cell results; call once, after any final
-// checkpoint has been serialized.
+// foldResult folds the done cells in list order into the first one,
+// skipping pending cells (present only when the run was cut short), and
+// returns it. On a drained frontier the list is a single done cell and
+// the fold is the identity. Destructive on the cell results; call once,
+// after any final checkpoint has been serialized.
 func (l *foldList) foldResult() *Result {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := &Result{}
+	var out *Result
 	for c := l.head; c != nil; c = c.next {
-		if c.res != nil {
+		switch {
+		case c.res == nil:
+		case out == nil:
+			out = c.res
+		default:
 			mergeResults(out, c.res, l.maxFailures)
 		}
+	}
+	if out == nil {
+		out = &Result{}
 	}
 	return out
 }
@@ -230,7 +226,7 @@ func (l *foldList) foldResult() *Result {
 // mergeResults folds src into dst, offsetting src's failure indices by
 // dst's execution count — src's region follows dst's in canonical order.
 // Elapsed is deliberately not folded (wall clock is owned by the
-// engine); everything else adds, mirroring the sequential accumulation.
+// engine); everything else adds, mirroring runOne's accumulation.
 func mergeResults(dst, src *Result, maxFailures int) {
 	for _, f := range src.Failures {
 		f.Execution += dst.Executions

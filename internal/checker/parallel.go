@@ -1,48 +1,23 @@
 package checker
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file implements parallel exploration (Config.Parallelism > 1).
-//
-// RandomWalk mode shards the walk count across workers; every execution
-// already owns a private System, so only the Result merge matters.
-//
-// DFS mode uses the work-stealing engine (worksteal.go): the decision
-// frontier is a set of unexplored subtree branches spread across
-// per-worker Chase-Lev deques, and every branch's result is folded at
-// its canonical decision-path position (frontier.go), which reproduces
-// the sequential DFS output bit-for-bit on exhaustive runs no matter
-// which worker explored which subtree. The same engine serves
-// checkpoint/resume at any parallelism (checkpoint.go).
+// This file holds the run-sharing helpers of the engines: the shared
+// execution budget, and the block-sharded RandomWalk engine (every walk
+// already owns a private System, so only the Result merge matters). DFS
+// mode runs on the work-stealing engine (worksteal.go) at any
+// Parallelism.
 
-// exploreParallel is Explore for parallel DFS (Parallelism > 1, and any
-// DFS run with checkpoint/resume/interrupt plumbing). c has defaults
-// applied; RandomWalk and FastMode route through their own engines
-// before this one (see the precedence on Config.RandomWalk).
-func exploreParallel(c *Config, root func(*Thread)) *Result {
-	start := time.Now()
-	res := exploreWorkSteal(c, root)
-	// Elapsed is the run's wall clock (plus, for resumed runs, the base
-	// the engine restored from the checkpoint — the only reason this adds
-	// instead of assigning). The merge deliberately never folds per-worker
-	// timings into it (a per-worker sum can exceed wall clock by a factor
-	// of Parallelism); the Stats timing fields, by contrast, are
-	// cumulative across workers by design.
-	res.Elapsed += time.Since(start)
-	return res
-}
-
-// bounds is the shared execution budget and cancellation state of a
-// parallel exploration.
+// bounds is the shared execution budget and cancellation state of an
+// exploration's workers.
 type bounds struct {
-	ctx    context.Context
-	cancel context.CancelFunc
+	// done is set by cancel (StopAtFirst, TimeBudget).
+	done atomic.Bool
 	// max bounds total executions (0 = unlimited); executed counts
 	// reservations made so far and never exceeds max.
 	max      int64
@@ -50,11 +25,13 @@ type bounds struct {
 }
 
 func newBounds(maxExecutions, already int) *bounds {
-	ctx, cancel := context.WithCancel(context.Background())
-	b := &bounds{ctx: ctx, cancel: cancel, max: int64(maxExecutions)}
+	b := &bounds{max: int64(maxExecutions)}
 	b.executed.Store(int64(already))
 	return b
 }
+
+// cancel stops every later tryStart.
+func (b *bounds) cancel() { b.done.Store(true) }
 
 // tryStart reserves budget for one execution. Reserving before running
 // makes the total number of executions across all workers exactly equal
@@ -64,7 +41,7 @@ func newBounds(maxExecutions, already int) *bounds {
 // cancellation landed (an overshoot of executions-in-flight, bounded by
 // the worker count, never of the counter).
 func (b *bounds) tryStart() bool {
-	if b.ctx.Err() != nil {
+	if b.done.Load() {
 		return false
 	}
 	if b.max <= 0 {
@@ -81,8 +58,8 @@ func (b *bounds) tryStart() bool {
 	}
 }
 
-// stopped reports whether the exploration was cancelled (StopAtFirst).
-func (b *bounds) stopped() bool { return b.ctx.Err() != nil }
+// stopped reports whether the exploration was cancelled.
+func (b *bounds) stopped() bool { return b.done.Load() }
 
 // runPool runs tasks 0..tasks-1 on at most workers goroutines and waits
 // for all of them. workers is clamped to [1, tasks]; zero tasks is a
@@ -122,7 +99,7 @@ func runPool(workers, tasks int, run func(task int)) {
 // sequential run would have retained (sequential keeps the first
 // maxFailures in this exact order); the final cap then drops precisely
 // the surplus, never a failure the sequential run kept. Used by the
-// random-walk merge; DFS folds through foldList instead.
+// random-walk and fast-mode merges; DFS folds through foldList instead.
 func mergeInto(res *Result, locals []*Result, maxFailures int) {
 	for _, local := range locals {
 		if local == nil {
@@ -166,7 +143,6 @@ func exploreRandomWalk(c *Config, root func(*Thread)) *Result {
 		return res
 	}
 	b := newBounds(0, 0)
-	defer b.cancel()
 	starts := make([]int, workers+1)
 	for w := 0; w < workers; w++ {
 		n := total / workers

@@ -576,7 +576,7 @@ func (s *System) rfCheck(kind byte, t *Thread, loc *location, n int) {
 }
 
 // countSpinBound counts one spinloop floor bump, once per branch node
-// (fresh decisions only, so parallel and sequential runs agree).
+// (fresh decisions only, so runs agree at every worker count).
 func (s *System) countSpinBound() {
 	if s.chooser.freshDecision() {
 		s.redSpinBounds++
@@ -693,8 +693,8 @@ func (s *System) spinBound(t *Thread, loc *location, prevRF, floor int) int {
 // candidate list, filtering in place. It is a deterministic function of
 // the execution state, so replays and frozen-prefix re-drives recompute
 // identical candidate sets at every node. fresh gates the prune counters:
-// counted once per fresh visit, never on replays, so sequential and
-// parallel totals agree.
+// counted once per fresh visit, never on replays, so totals agree at
+// every worker count.
 //
 // Spinloop: provably futile spinners (spinBlocked) are dropped — unless
 // that would drop every candidate, in which case the list is kept whole

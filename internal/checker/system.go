@@ -32,8 +32,8 @@ type chooser interface {
 	// node, past any replayed prefix. The reduction layer (reduce.go)
 	// checks and counts only at fresh nodes: a replayed branch point was
 	// registered by its own first visit and must not re-check (it would
-	// prune itself), and counting once per fresh visit keeps sequential
-	// and parallel totals identical.
+	// prune itself), and counting once per fresh visit keeps totals
+	// identical at every worker count.
 	freshDecision() bool
 }
 

@@ -6,15 +6,16 @@ import (
 	"time"
 )
 
-// This file implements the work-stealing DFS engine (the parallel
-// explorer for Parallelism > 1, and the substrate for checkpoint/resume
-// at any parallelism). Each worker owns a Chase-Lev deque (wsdeque.go) of
-// frontier tasks (frontier.go): it pops its own bottom — descending into
-// the subtree it just opened, the sequential DFS order — and steals from
-// the top of a victim's deque when dry, taking the shallowest (and so
-// statistically largest) outstanding subtree. Results stay bit-identical
-// to sequential DFS because every task's result is folded at its
-// canonical decision-path position (foldList), never in completion order.
+// This file implements the work-stealing DFS engine, which runs every
+// exhaustive exploration at any Parallelism (one worker included) and is
+// the substrate for checkpoint/resume. Each worker owns a Chase-Lev deque
+// (wsdeque.go) of frontier tasks (frontier.go): it pops its own bottom —
+// descending into the subtree it just opened, the depth-first order — and
+// steals from the top of a victim's deque when dry, taking the shallowest
+// (and so statistically largest) outstanding subtree. Results are
+// bit-identical at every worker count because every task's result is
+// folded at its canonical decision-path position (foldList), never in
+// completion order.
 
 // wsEngine is one work-stealing exploration.
 type wsEngine struct {
@@ -40,8 +41,8 @@ type wsEngine struct {
 	stop atomic.Bool
 
 	// Per-root-branch shard state (Config.NewScratch), created lazily
-	// under scratchMu so the hook runs exactly once per branch — the same
-	// count a sequential run produces.
+	// under scratchMu so the hook runs exactly once per branch at any
+	// worker count.
 	scratchMu sync.Mutex
 	scratches map[int]any
 
@@ -62,9 +63,22 @@ type wsEngine struct {
 	startTime time.Time
 }
 
-// exploreWorkSteal runs the engine; c has defaults applied. The returned
-// Result's Elapsed is owned by exploreParallel (the engine only adds the
-// resumed base).
+// wsWorker is one worker's private state.
+type wsWorker struct {
+	d    *dfsChooser
+	pool *execPool
+	dq   *wsDeque
+	// spare is a leaf Result that the fold list merged away, reset for the
+	// next task (nil when the last leaf stayed in the list).
+	spare *Result
+	// subs backs spawnSubtasks' result, which is consumed before the next
+	// task.
+	subs []*wsTask
+}
+
+// exploreWorkSteal runs the engine; c has defaults applied. FastMode and
+// RandomWalk route through their own engines before this one (see the
+// precedence on Config.RandomWalk).
 func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 	workers := c.Parallelism
 	if workers < 1 {
@@ -95,7 +109,6 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		e.unfinished.Store(1)
 	}
 	e.b = newBounds(c.MaxExecutions, already)
-	defer e.b.cancel()
 	if c.progress != nil {
 		c.progress.attachEngine(&e.steals, &e.fold.pending)
 	}
@@ -134,14 +147,16 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		}()
 	}
 
+	// Worker 0 runs on the calling goroutine.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			e.worker(w)
 		}(w)
 	}
+	e.worker(0)
 	wg.Wait()
 	close(watcherStop)
 	watchers.Wait()
@@ -168,40 +183,42 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		// trail it (see runOne); the workers have all stopped here.
 		res.Stats.RFClasses = int(c.rfSeen.classes.Load())
 	}
-	// Exhausted mirrors the sequential loop: true only when the frontier
-	// drained without a stop and without consuming the entire execution
-	// budget (sequential DFS returns before testing advance() once the
-	// budget is spent, so an exactly-budget-sized space reports false).
+	// Exhausted is true only when the frontier drained without a stop and
+	// without consuming the entire execution budget: a run whose budget
+	// equals the size of its space is reported as cut short, because the
+	// budget ran out before the engine could tell.
 	res.Exhausted = e.fold.pendingCount() == 0 && !e.b.stopped() &&
 		(c.MaxExecutions == 0 || res.Executions < c.MaxExecutions)
-	res.Elapsed = baseElapsed
+	// Elapsed is the run's wall clock plus, for resumed runs, the base
+	// restored from the checkpoint. It is never a sum of per-worker
+	// timings (which can exceed wall clock by a factor of Parallelism);
+	// the Stats timing fields, by contrast, are cumulative across workers.
+	res.Elapsed = baseElapsed + time.Since(e.startTime)
 	return res
 }
 
 // worker is one scheduler loop: drain the own deque bottom-first, then
 // steal; park when the whole frontier is in flight elsewhere.
 func (e *wsEngine) worker(w int) {
-	d := newDFSChooser(e.c)
-	pool := newExecPool(e.c)
-	dq := e.deques[w]
+	wk := &wsWorker{d: newDFSChooser(e.c), pool: newExecPool(e.c), dq: e.deques[w]}
 	for {
 		if e.stop.Load() {
 			return
 		}
-		t := dq.popBottom()
+		t := wk.dq.popBottom()
 		if t == nil {
 			t = e.acquire(w)
 			if t == nil {
 				return
 			}
 		}
-		e.runTask(d, pool, dq, t)
+		e.runTask(wk, t)
 	}
 }
 
 // runTask explores one frontier entry: one execution plus the publication
 // of the sibling branches it discovered.
-func (e *wsEngine) runTask(d *dfsChooser, pool *execPool, dq *wsDeque, t *wsTask) {
+func (e *wsEngine) runTask(wk *wsWorker, t *wsTask) {
 	if e.stop.Load() || !e.b.tryStart() {
 		// Budget exhausted or stop requested: leave the cell pending (the
 		// checkpoint will carry it) and fold nothing.
@@ -210,20 +227,28 @@ func (e *wsEngine) runTask(d *dfsChooser, pool *execPool, dq *wsDeque, t *wsTask
 		return
 	}
 	busyStart := time.Now()
-	prefix := t.path()
-	d.resetTo(prefix)
-	local := &Result{}
-	d.stats = &local.Stats
-	scratch := e.scratchFor(t.rootBranch())
-	failed := runOne(e.c, local, d, e.root, scratch, pool)
-	subs := spawnSubtasks(t, d.decisions, len(prefix))
-	e.fold.complete(t, local, subs)
+	d := wk.d
+	prefixLen := d.enter(t)
+	leaf := wk.spare
+	if leaf == nil {
+		leaf = &Result{}
+	}
+	wk.spare = nil
+	d.stats = &leaf.Stats
+	scratch := e.scratchFor(d.rootBranch())
+	failed := runOne(e.c, leaf, d, e.root, scratch, wk.pool)
+	subs := spawnSubtasks(t, d, prefixLen, wk.subs)
+	wk.subs = subs
+	if !e.fold.complete(t, leaf, subs) {
+		*leaf = Result{}
+		wk.spare = leaf
+	}
 	e.unfinished.Add(int64(len(subs)))
 	// Push in reverse fold order so the owner's next popBottom is the
-	// deepest fresh node's next branch — sequential DFS's next leaf —
-	// while thieves steal the shallowest from the top.
+	// deepest fresh node's next branch — the next leaf in depth-first
+	// order — while thieves steal the shallowest from the top.
 	for i := len(subs) - 1; i >= 0; i-- {
-		dq.push(subs[i])
+		wk.dq.push(subs[i])
 	}
 	if len(subs) > 0 {
 		e.notifyWork()
@@ -237,33 +262,47 @@ func (e *wsEngine) runTask(d *dfsChooser, pool *execPool, dq *wsDeque, t *wsTask
 }
 
 // spawnSubtasks builds the frontier entries for the sibling branches of
-// every decision node freshly opened by the execution (decisions beyond
-// prefixLen), in fold order: deepest node first, branches ascending —
-// the order sequential DFS visits them after this leaf.
-func spawnSubtasks(t *wsTask, decisions []decision, prefixLen int) []*wsTask {
-	fresh := decisions[prefixLen:]
+// every decision node freshly opened by the execution (d's decisions
+// beyond prefixLen), in fold order: deepest node first, branches
+// ascending — the order a depth-first walk visits them after this leaf.
+// The result reuses buf. The fresh chain's nodes extend d's path, so an
+// owner pop of one of the returned siblings enters it in place.
+func spawnSubtasks(t *wsTask, d *dfsChooser, prefixLen int, buf []*wsTask) []*wsTask {
+	subs := buf[:0]
+	fresh := d.decisions[prefixLen:]
 	if len(fresh) == 0 {
-		return nil
+		return subs
 	}
-	// Materialize the fresh chain (every fresh node was taken at branch
-	// 0); siblings share the parent pointer and the cands slice.
-	chain := make([]*fnode, len(fresh))
+	// One allocation each for the execution's nodes and tasks. Every fresh
+	// node was taken at branch 0, and siblings share the parent pointer
+	// and the cands slice, which pickThread allocated for the decision and
+	// nothing mutates.
+	nsib := 0
+	for i := range fresh {
+		if fresh[i].kind == 's' {
+			nsib += len(fresh[i].cands) - 1
+		} else {
+			nsib += fresh[i].n - 1
+		}
+	}
+	nodes := make([]fnode, len(fresh)+nsib)
+	tasks := make([]wsTask, nsib)
+	chain, sibs := nodes[:len(fresh)], nodes[len(fresh):]
 	parent := t.node
 	for i := range fresh {
 		nd := &fresh[i]
-		fn := &fnode{parent: parent, depth: prefixLen + i, kind: nd.kind, n: nd.n, branch: nd.chosen}
-		if nd.kind == 's' {
-			fn.cands = append([]int(nil), nd.cands...)
-		}
-		chain[i] = fn
-		parent = fn
+		chain[i] = fnode{parent: parent, depth: prefixLen + i, kind: nd.kind, n: nd.n, cands: nd.cands, branch: nd.chosen}
+		parent = &chain[i]
+		d.nodes = append(d.nodes, parent)
 	}
-	var subs []*wsTask
 	for i := len(chain) - 1; i >= 0; i-- {
-		fn := chain[i]
+		fn := &chain[i]
 		for b := fn.branch + 1; b < fn.branchCount(); b++ {
-			sib := &fnode{parent: fn.parent, depth: fn.depth, kind: fn.kind, n: fn.n, cands: fn.cands, branch: b}
-			subs = append(subs, &wsTask{node: sib})
+			sibs[0] = *fn
+			sibs[0].branch = b
+			tasks[0].node = &sibs[0]
+			subs = append(subs, &tasks[0])
+			sibs, tasks = sibs[1:], tasks[1:]
 		}
 	}
 	return subs

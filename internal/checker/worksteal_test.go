@@ -111,6 +111,47 @@ func TestWSDequeConcurrent(t *testing.T) {
 	}
 }
 
+// --- Fold list ---------------------------------------------------------
+
+// TestFoldListClearsMergedCells: every cell coalesce unlinks — by a left
+// merge or a right merge — is zeroed, so a completed task left in a stale
+// deque slot pins neither its neighbours nor their results; and complete
+// reports whether the leaf stayed in the list (the engine reuses merged-
+// away leaves).
+func TestFoldListClearsMergedCells(t *testing.T) {
+	l := newFoldList(16)
+	root := &wsTask{}
+	l.appendCell(&foldCell{task: root})
+	subs := []*wsTask{{node: &fnode{branch: 1}}, {node: &fnode{branch: 2}}, {node: &fnode{branch: 3}}}
+	if !l.complete(root, &Result{Executions: 1}, subs) {
+		t.Fatal("root leaf has no done neighbour, so it must stay in the list")
+	}
+	cells := []*foldCell{subs[0].cell, subs[1].cell, subs[2].cell}
+
+	// subs[0] merges left into the root's region.
+	if l.complete(subs[0], &Result{Executions: 1}, nil) {
+		t.Error("subs[0] leaf merged into its left neighbour, but complete reported it kept")
+	}
+	// subs[2] has a pending left neighbour: it stays.
+	if !l.complete(subs[2], &Result{Executions: 1}, nil) {
+		t.Error("subs[2] leaf stayed in the list, but complete reported it merged")
+	}
+	// subs[1] merges left, and the region then absorbs subs[2] on the right.
+	if l.complete(subs[1], &Result{Executions: 1}, nil) {
+		t.Error("subs[1] leaf merged into its left neighbour, but complete reported it kept")
+	}
+
+	if l.head != l.tail || l.head.res == nil || l.head.res.Executions != 4 {
+		t.Fatalf("drained list should be one done cell of 4 executions, got head=%+v tail=%+v", l.head, l.tail)
+	}
+	for i, c := range cells {
+		if c.prev != nil || c.next != nil || c.res != nil || c.task != nil {
+			t.Errorf("merged-away cell of subs[%d] still holds prev=%p next=%p res=%p task=%p",
+				i, c.prev, c.next, c.res, c.task)
+		}
+	}
+}
+
 // --- Determinism and the MaxExecutions invariant -----------------------
 
 // TestParallelDeterminism: work-stealing exploration is bit-identical to

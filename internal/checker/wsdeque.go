@@ -8,7 +8,7 @@ import "sync/atomic"
 // of Lê, Pop, Cohen and Zappa Nardelli:
 //
 //   - the owner pushes and pops at the bottom (LIFO, so a worker keeps
-//     descending into the subtree it just opened — the sequential DFS
+//     descending into the subtree it just opened — the depth-first
 //     order),
 //   - thieves CAS the top (FIFO, so a steal takes the shallowest — and
 //     statistically largest — outstanding subtree),
@@ -33,7 +33,7 @@ type wsRing struct {
 	slots []atomic.Pointer[wsTask]
 }
 
-const wsDequeInitialSize = 64
+const wsDequeInitialSize = 16
 
 func newWSRing(size int64) *wsRing {
 	return &wsRing{mask: size - 1, slots: make([]atomic.Pointer[wsTask], size)}

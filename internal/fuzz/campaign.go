@@ -146,8 +146,8 @@ func (t *Target) Check(p *Program, ord *memmodel.OrderTable, cfg CampaignConfig)
 		idx := p.Index
 		ccfg.Progress = func(pr checker.Progress) { cfg.Progress(idx, pr) }
 	}
-	// The exploration is sequential, so the last monitor installed is the
-	// failing execution's (StopAtFirst stops right after it) — its
+	// The exploration runs on one worker, so the last monitor installed is
+	// the failing execution's (StopAtFirst stops right after it) — its
 	// canonical fingerprint is the dedup key. Built-in failures abort
 	// mid-execution; Fingerprint handles the partial record.
 	var mon *core.Monitor

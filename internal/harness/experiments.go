@@ -18,34 +18,28 @@ type KnownBugResult struct {
 	Detail   string
 }
 
-// RunKnownBugs reproduces §6.4.1: the two AUTO MO bugs in the M&S queue
-// and the CDSChecker bug in the Chase-Lev deque (in both its
-// uninitialized-load and specification-violation guises).
-func RunKnownBugs() []KnownBugResult {
-	var out []KnownBugResult
-	report := func(name string, res *checker.Result) {
-		r := KnownBugResult{Name: name}
-		if f := res.FirstFailure(); f != nil {
-			r.Detected = true
-			r.Channel = f.Kind.String()
-			r.Detail = f.Msg
-		}
-		out = append(out, r)
-	}
+// knownBugCheck is one §6.4.1 reproduction: a buggy program and the
+// configuration that checks it.
+type knownBugCheck struct {
+	name string
+	spec func() *core.Spec
+	cfg  checker.Config
+	prog func(*checker.Thread)
+}
 
+// run checks the program with par workers.
+func (k knownBugCheck) run(par int) *checker.Result {
+	cfg := k.cfg
+	cfg.Parallelism = par
+	return core.Explore(k.spec(), cfg, k.prog)
+}
+
+// knownBugChecks lists the §6.4.1 reproductions: the two AUTO MO bugs in
+// the M&S queue and the CDSChecker bug in the Chase-Lev deque (in both
+// its uninitialized-load and specification-violation guises).
+func knownBugChecks() []knownBugCheck {
 	ms := msqueueBenchmark()
-	resEnq := core.Explore(ms.Spec(), checker.Config{StopAtFirst: true},
-		ms.Progs(msqueue.KnownBugEnqueue())[0])
-	report("M&S queue: enqueue publication too weak (AutoMO bug 1)", resEnq)
-	resDeq := core.Explore(ms.Spec(), checker.Config{StopAtFirst: true},
-		ms.Progs(msqueue.KnownBugDequeue())[0])
-	report("M&S queue: dequeue head load too weak (AutoMO bug 2)", resDeq)
-
 	cl := chaselevBenchmark()
-	resCl := core.Explore(cl.Spec(), checker.Config{StopAtFirst: true},
-		cl.Progs(chaselev.KnownBugOrders())[1])
-	report("Chase-Lev deque: weak resize publication (uninit load)", resCl)
-
 	specProg := func(root *checker.Thread) {
 		d := chaselev.New(root, "d", chaselev.KnownBugOrders(), 2, chaselev.WithInitializedCells())
 		owner := root.Spawn("owner", func(tt *checker.Thread) {
@@ -62,9 +56,32 @@ func RunKnownBugs() []KnownBugResult {
 		root.Join(owner)
 		root.Join(thief)
 	}
-	resCl2 := core.Explore(chaselev.Spec("d"),
-		checker.Config{StopAtFirst: true, DisableLifetimeCheck: true}, specProg)
-	report("Chase-Lev deque: same bug with uninit report silenced (spec violation)", resCl2)
+	stop := checker.Config{StopAtFirst: true}
+	return []knownBugCheck{
+		{"M&S queue: enqueue publication too weak (AutoMO bug 1)", ms.Spec, stop,
+			ms.Progs(msqueue.KnownBugEnqueue())[0]},
+		{"M&S queue: dequeue head load too weak (AutoMO bug 2)", ms.Spec, stop,
+			ms.Progs(msqueue.KnownBugDequeue())[0]},
+		{"Chase-Lev deque: weak resize publication (uninit load)", cl.Spec, stop,
+			cl.Progs(chaselev.KnownBugOrders())[1]},
+		{"Chase-Lev deque: same bug with uninit report silenced (spec violation)",
+			func() *core.Spec { return chaselev.Spec("d") },
+			checker.Config{StopAtFirst: true, DisableLifetimeCheck: true}, specProg},
+	}
+}
+
+// RunKnownBugs reproduces §6.4.1 (see knownBugChecks).
+func RunKnownBugs() []KnownBugResult {
+	var out []KnownBugResult
+	for _, k := range knownBugChecks() {
+		r := KnownBugResult{Name: k.name}
+		if f := k.run(0).FirstFailure(); f != nil {
+			r.Detected = true
+			r.Channel = f.Kind.String()
+			r.Detail = f.Msg
+		}
+		out = append(out, r)
+	}
 	return out
 }
 

@@ -276,8 +276,8 @@ func TestFig8ParallelDeterminism(t *testing.T) {
 }
 
 // TestMSQueueParallelDFSDeterminism: exhaustive checker-level parallel
-// exploration of the M&S queue workload matches the sequential run
-// exactly (the ISSUE's determinism suite anchor).
+// exploration of the M&S queue workload matches the one-worker run
+// exactly (the determinism suite anchor).
 func TestMSQueueParallelDFSDeterminism(t *testing.T) {
 	b := BenchmarkByName("M&S Queue")
 	if b == nil {

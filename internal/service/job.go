@@ -81,8 +81,8 @@ type JobSpec struct {
 	// MaxExecutions bounds the exploration / run budget (0 = exhaustive
 	// for explore, engine default for fast/triage).
 	MaxExecutions int `json:"max_executions,omitempty"`
-	// Parallelism is the within-job worker count (checker.Config
-	// semantics: 0 or 1 sequential, >1 work-stealing).
+	// Parallelism is the within-job worker count of the work-stealing
+	// engine (checker.Config semantics: 0 or 1 = one worker).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Deadline is the per-job wall-clock budget. When it expires the job
 	// is interrupted and lands in the first-class terminal state
