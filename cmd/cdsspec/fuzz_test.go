@@ -36,8 +36,8 @@ func TestFuzzJSONSnapshot(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("fuzz -json exited %d: %s", code, errOut.String())
 	}
-	snap, err := harness.ReadSnapshot([]byte(out.String()))
-	if err != nil {
+	var snap harness.BenchSnapshot
+	if err := json.Unmarshal([]byte(out.String()), &snap); err != nil {
 		t.Fatalf("output is not a snapshot: %v\n%s", err, out.String())
 	}
 	if snap.Schema != harness.SnapshotSchema {

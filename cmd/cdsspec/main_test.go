@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -140,8 +138,8 @@ func TestProgressFlag(t *testing.T) {
 // snapshotStats decodes a fig7-only snapshot from a finished run.
 func snapshotStats(t *testing.T, out string) harness.Fig7Row {
 	t.Helper()
-	snap, err := harness.ReadSnapshot([]byte(out))
-	if err != nil {
+	var snap harness.BenchSnapshot
+	if err := json.Unmarshal([]byte(out), &snap); err != nil {
 		t.Fatalf("output is not a snapshot: %v\n%s", err, out)
 	}
 	if len(snap.Fig7) != 1 {
@@ -172,56 +170,5 @@ func TestNoCacheFlag(t *testing.T) {
 	if rOn.Executions != rOff.Executions || rOn.Stats.Histories != rOff.Stats.Histories {
 		t.Errorf("cache changed the exploration: on %d execs/%d histories, off %d/%d",
 			rOn.Executions, rOn.Stats.Histories, rOff.Executions, rOff.Stats.Histories)
-	}
-}
-
-// TestBenchDiffSubcommand: benchdiff reads two snapshot files (v1 or v2)
-// and renders the comparison; bad paths and schemas exit non-zero.
-func TestBenchDiffSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "old.json")
-	if err := os.WriteFile(v1, []byte(`{
-	  "schema": "cdsspec-bench/v1",
-	  "fig7": [{"name": "SPSC Queue", "executions": 1, "stats": {}}]
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var snap, errOut strings.Builder
-	if code := run([]string{"run", "-json", "SPSC Queue"}, &snap, &errOut); code != 0 {
-		t.Fatalf("run -json exited %d: %s", code, errOut.String())
-	}
-	v2 := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(v2, []byte(snap.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out strings.Builder
-	errOut.Reset()
-	if code := run([]string{"benchdiff", v1, v2}, &out, &errOut); code != 0 {
-		t.Fatalf("benchdiff exited %d: %s", code, errOut.String())
-	}
-	for _, want := range []string{"SPSC Queue", "hit(old)", "n/a", "EXECUTION COUNT CHANGED"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("benchdiff output missing %q:\n%s", want, out.String())
-		}
-	}
-
-	errOut.Reset()
-	if code := run([]string{"benchdiff", filepath.Join(dir, "missing.json"), v2}, &out, &errOut); code == 0 {
-		t.Error("benchdiff with a missing file exited 0")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema": "cdsspec-bench/v99"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	errOut.Reset()
-	if code := run([]string{"benchdiff", bad, v2}, &out, &errOut); code == 0 {
-		t.Error("benchdiff with an unknown schema exited 0")
-	}
-	if !strings.Contains(errOut.String(), "unsupported snapshot schema") {
-		t.Errorf("missing schema error: %s", errOut.String())
-	}
-	if code := run([]string{"benchdiff", v1}, &out, &errOut); code != 2 {
-		t.Error("benchdiff with one argument should exit 2")
 	}
 }

@@ -109,14 +109,14 @@ func TestServiceCLIJSONSubmit(t *testing.T) {
 // addressing and missing positionals with exit 2.
 func TestServiceCLIUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"serve"},                      // no -state
-		{"submit"},                     // no benchmark
-		{"submit", "RCU"},              // no -state/-addr
-		{"jobs"},                       // no -state/-addr
-		{"watch"},                      // no job id
-		{"watch", "j000001"},           // no -state/-addr
-		{"cancel"},                     // no job id
-		{"triage"},                     // no benchmark
+		{"serve"},            // no -state
+		{"submit"},           // no benchmark
+		{"submit", "RCU"},    // no -state/-addr
+		{"jobs"},             // no -state/-addr
+		{"watch"},            // no job id
+		{"watch", "j000001"}, // no -state/-addr
+		{"cancel"},           // no job id
+		{"triage"},           // no benchmark
 	} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 {

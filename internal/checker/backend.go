@@ -32,7 +32,7 @@ type consistency interface {
 	loadFloor(s *System, t *Thread, loc *location, ord memmodel.MemOrder) (floor int, published bool)
 
 	// scanFloor is loadFloor without the cache — the recomputation used
-	// by DebugReplayCheck pin validation and the soundness tests.
+	// by debugReplayCheck pin validation and the soundness tests.
 	scanFloor(s *System, t *Thread, loc *location, ord memmodel.MemOrder) (floor int, published bool)
 
 	// storeSync computes the release clock a new store by t with order

@@ -107,11 +107,6 @@ type Config struct {
 	// mo-latest store — i.e. explores only sequentially-consistent
 	// executions. Used by the ablation benchmarks.
 	DisableStaleReads bool
-	// DisableSleepSet turns off the sleep-set partial-order reduction:
-	// every enabled thread stays a scheduling candidate. Exhaustive but
-	// slower; used by soundness tests that compare outcome sets with the
-	// reduction on vs off.
-	DisableSleepSet bool
 	// Reduce selects the execution-equivalence reductions (reduce.go):
 	// rf-class subtree pruning over a shared seen-set, thread-symmetry
 	// canonicalization, and spinloop/await bounding. Zero value = no
@@ -128,33 +123,39 @@ type Config struct {
 	// report (the paper does this in §6.4.1 to let the Chase-Lev bug
 	// surface as a specification violation instead).
 	DisableLifetimeCheck bool
-	// DisableFloorCache turns off the per-(thread, location) memoization
-	// of visibleFloor. Results are identical either way (pinned by
-	// tests); the flag exists for ablation benchmarks and as a field
-	// escape hatch.
-	DisableFloorCache bool
-	// DisablePooling turns off per-shard recycling of executions
-	// (System, threads, locations, actions, clock snapshots). Required
-	// by clients that retain *memmodel.Action or Action.Clock pointers
-	// across executions — with pooling on they are valid only within the
-	// execution that produced them. Results are identical either way.
-	DisablePooling bool
-	// DisableLoadCompaction turns off the discarding of read-read
+
+	// Test-only switches. Each selects the reference path that an
+	// optimization replaces, and the tests compare the two. The four
+	// kernel switches (floor cache, pooling, load compaction, replay
+	// pinning) leave every Result identical; export_test.go turns them
+	// off together for external tests.
+	//
+	// disableSleepSet turns off the sleep-set partial-order reduction:
+	// every enabled thread stays a scheduling candidate, so more
+	// executions reach the same outcome set.
+	disableSleepSet bool
+	// disableFloorCache turns off the per-(thread, location) memoization
+	// of visibleFloor.
+	disableFloorCache bool
+	// disablePooling turns off per-shard recycling of executions
+	// (System, threads, locations, actions, clock snapshots).
+	disablePooling bool
+	// disableLoadCompaction turns off the discarding of read-read
 	// coherence records that can never again raise a visibility floor.
-	// Results are identical either way.
-	DisableLoadCompaction bool
-	// DisableReplayPinning turns off the frozen-prefix replay fast path
+	disableLoadCompaction bool
+	// disableReplayPinning turns off the frozen-prefix replay fast path
 	// (reusing recorded visibility computations while re-driving a
-	// recorded decision prefix). Results are identical either way.
-	DisableReplayPinning bool
-	// DebugReplayCheck recomputes every pinned visibility record during
+	// recorded decision prefix).
+	disableReplayPinning bool
+	// debugReplayCheck recomputes every pinned visibility record during
 	// replay and panics on mismatch — a (slow) validation mode for the
 	// replay-determinism invariant the pinning fast path relies on.
-	DebugReplayCheck bool
+	debugReplayCheck bool
 	// compactThreshold is the loadRec count past which a location's
 	// records are compacted (default 64; tests lower it to force
 	// compaction on small programs).
 	compactThreshold int
+
 	// OnRunStart runs at the start of every execution, before the root
 	// thread. It typically installs the spec monitor in sys.Aux.
 	OnRunStart func(sys *System)
@@ -730,11 +731,6 @@ func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any,
 	res.Stats.StoreBufferEvictions += sys.evictions
 	res.Stats.SpinloopBounds += sys.redSpinBounds
 	res.Stats.SymmetryPrunes += sys.redSymPrunes
-	if c.rfSeen != nil {
-		// Monotone live snapshot for progress gauges; Explore overwrites
-		// it with the exact final count when the run ends.
-		res.Stats.RFClasses = int(c.rfSeen.classes.Load())
-	}
 
 	failed := false
 	failures := 0
@@ -810,8 +806,8 @@ func (c *Config) randomWalkBudget() int {
 func newDFSChooser(c *Config) *dfsChooser {
 	return &dfsChooser{
 		disableRF:    c.DisableStaleReads,
-		disableSleep: c.DisableSleepSet,
-		pin:          !c.DisableReplayPinning,
+		disableSleep: c.disableSleepSet,
+		pin:          !c.disableReplayPinning,
 	}
 }
 

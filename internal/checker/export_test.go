@@ -9,6 +9,21 @@ import (
 	"repro/internal/memmodel"
 )
 
+// KernelOptsOff returns cfg with every kernel hot-path optimization
+// turned off: the visibility-floor cache, execution pooling, load
+// compaction and replay pinning. Results must be identical either way;
+// the tests here and in package checker_test compare against it.
+func KernelOptsOff(cfg Config) Config {
+	cfg.disableFloorCache = true
+	cfg.disablePooling = true
+	cfg.disableLoadCompaction = true
+	cfg.disableReplayPinning = true
+	return cfg
+}
+
+// NormalizeResult exposes normalizeResult to package checker_test.
+var NormalizeResult = normalizeResult
+
 // TestExportDOT: the DOT export contains every thread cluster, the
 // accessed locations, and a reads-from edge.
 func TestExportDOT(t *testing.T) {

@@ -105,7 +105,7 @@ func TestFastModePoolingInvisible(t *testing.T) {
 	base := Config{FastMode: true, MaxExecutions: 60, Seed: 13, StoreBound: 2}
 	pooled := Explore(base, manyExecProgram)
 	unpooledCfg := base
-	unpooledCfg.DisablePooling = true
+	unpooledCfg.disablePooling = true
 	unpooled := Explore(unpooledCfg, manyExecProgram)
 	if fingerprint(pooled) != fingerprint(unpooled) {
 		t.Errorf("pooling changed fast-mode results:\npooled   %s\nunpooled %s",

@@ -165,17 +165,6 @@ var kernelProgs = []kernelProg{
 	}},
 }
 
-// kernelOptsOff is the ablation configuration: every hot-path
-// optimization disabled.
-func kernelOptsOff() Config {
-	return Config{
-		DisableFloorCache:     true,
-		DisablePooling:        true,
-		DisableLoadCompaction: true,
-		DisableReplayPinning:  true,
-	}
-}
-
 // normalizeResult strips the timing exemption (wall-clock fields) so the
 // remainder can be compared bit-for-bit.
 func normalizeResult(r *Result) Result {
@@ -221,7 +210,7 @@ func runKernelProg(t *testing.T, cfg Config, p kernelProg) (Result, map[string]i
 // and with every optimization off, exploration produces bit-identical
 // Results — Executions, Feasible, Pruned, failure list, and every
 // non-timing Stats counter — sequentially and at Parallelism 4, and a
-// DebugReplayCheck run (which revalidates every pinned replay record)
+// debugReplayCheck run (which revalidates every pinned replay record)
 // agrees too.
 func TestKernelOptsDeterminism(t *testing.T) {
 	for _, p := range kernelProgs {
@@ -232,10 +221,10 @@ func TestKernelOptsDeterminism(t *testing.T) {
 				name string
 				cfg  Config
 			}{
-				{"opts-off", kernelOptsOff()},
-				{"opts-off-par4", func() Config { c := kernelOptsOff(); c.Parallelism = 4; return c }()},
+				{"opts-off", KernelOptsOff(Config{})},
+				{"opts-off-par4", KernelOptsOff(Config{Parallelism: 4})},
 				{"opts-on-par4", Config{Parallelism: 4}},
-				{"replay-check", Config{DebugReplayCheck: true}},
+				{"replay-check", Config{debugReplayCheck: true}},
 			}
 			for _, v := range variants {
 				got, gotOut := runKernelProg(t, v.cfg, p)
@@ -260,7 +249,7 @@ func TestLoadCompactionSoundness(t *testing.T) {
 	for _, p := range kernelProgs {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			off, offOut := runKernelProg(t, Config{DisableLoadCompaction: true}, p)
+			off, offOut := runKernelProg(t, Config{disableLoadCompaction: true}, p)
 			on, onOut := runKernelProg(t, Config{compactThreshold: 2}, p)
 			if !reflect.DeepEqual(offOut, onOut) {
 				t.Errorf("outcome sets differ:\n compaction off: %v\n threshold 2:   %v", offOut, onOut)
@@ -282,7 +271,7 @@ func TestPooledExecutionIsolation(t *testing.T) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			pooled, pooledOut := runKernelProg(t, Config{}, p)
-			unpooled, unpooledOut := runKernelProg(t, Config{DisablePooling: true}, p)
+			unpooled, unpooledOut := runKernelProg(t, Config{disablePooling: true}, p)
 			if !reflect.DeepEqual(pooled, unpooled) {
 				t.Errorf("Result differs:\n pooled:   %+v\n unpooled: %+v", pooled, unpooled)
 			}
@@ -303,7 +292,7 @@ func BenchmarkKernelVisibleFloor(b *testing.B) {
 		cfg  Config
 	}{
 		{"cached", Config{}},
-		{"uncached", Config{DisableFloorCache: true}},
+		{"uncached", Config{disableFloorCache: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -326,7 +315,7 @@ func BenchmarkKernelExecutionReset(b *testing.B) {
 		cfg  Config
 	}{
 		{"pooled", Config{}},
-		{"unpooled", Config{DisablePooling: true}},
+		{"unpooled", Config{disablePooling: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()

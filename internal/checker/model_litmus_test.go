@@ -265,7 +265,7 @@ func TestModelDiffSeededBug(t *testing.T) {
 // TestModelFloorCacheSoundness extends TestLoadCompactionSoundness across
 // backends (the satellite-3 contract): for every model, exploration with
 // the floor cache, load compaction, pooling, and replay pinning enabled
-// must be bit-identical to the ablated run, and a DebugReplayCheck run —
+// must be bit-identical to the ablated run, and a debugReplayCheck run —
 // which recomputes every pinned floor through the backend's scanFloor —
 // must agree and not panic. sc and scatomics take the forced-latest O(1)
 // path (bypassing the cache) on exactly the accesses where their floors
@@ -283,10 +283,10 @@ func TestModelFloorCacheSoundness(t *testing.T) {
 					name string
 					cfg  Config
 				}{
-					{"opts-off", withModel(kernelOptsOff())},
-					{"floor-cache-off", withModel(Config{DisableFloorCache: true})},
+					{"opts-off", withModel(KernelOptsOff(Config{}))},
+					{"floor-cache-off", withModel(Config{disableFloorCache: true})},
 					{"compact-2", withModel(Config{compactThreshold: 2})},
-					{"replay-check", withModel(Config{DebugReplayCheck: true})},
+					{"replay-check", withModel(Config{debugReplayCheck: true})},
 					{"par4", withModel(Config{Parallelism: 4})},
 				} {
 					got, gotOut := runKernelProg(t, v.cfg, p)
@@ -306,7 +306,7 @@ func TestModelFloorCacheSoundness(t *testing.T) {
 
 // TestModelScanAgreesWithCachedFloor cross-checks, per backend, the
 // cached hot path against the uncached scan at every load — by driving a
-// full exploration with DebugReplayCheck (validatePin panics on any
+// full exploration with debugReplayCheck (validatePin panics on any
 // cached-vs-scanned divergence during replay) and by comparing the
 // outcome sets of cached and uncached runs.
 func TestModelScanAgreesWithCachedFloor(t *testing.T) {
@@ -314,8 +314,8 @@ func TestModelScanAgreesWithCachedFloor(t *testing.T) {
 		id := id
 		t.Run(string(id), func(t *testing.T) {
 			prog := kernelProgs[5] // load-history: the floor-heaviest program
-			cached, cachedOut := runKernelProg(t, Config{Model: id, DebugReplayCheck: true}, prog)
-			scanned, scannedOut := runKernelProg(t, Config{Model: id, DisableFloorCache: true, DebugReplayCheck: true}, prog)
+			cached, cachedOut := runKernelProg(t, Config{Model: id, debugReplayCheck: true}, prog)
+			scanned, scannedOut := runKernelProg(t, Config{Model: id, disableFloorCache: true, debugReplayCheck: true}, prog)
 			if !reflect.DeepEqual(cached, scanned) {
 				t.Errorf("cached vs scanned Result differ:\n cached:  %+v\n scanned: %+v", cached, scanned)
 			}

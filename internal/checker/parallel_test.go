@@ -57,7 +57,7 @@ func fenceMPOutcomes(t *testing.T, disableSleep bool) map[string]int {
 	var mu sync.Mutex
 	outcomes := map[string]int{}
 	cfg := Config{
-		DisableSleepSet: disableSleep,
+		disableSleepSet: disableSleep,
 	}
 	res := Explore(cfg, func(root *Thread) {
 		x := root.NewAtomicInit("x", 0)
@@ -132,7 +132,7 @@ func TestSCFenceSleepSetSoundness(t *testing.T) {
 	run := func(disableSleep bool) []string {
 		var mu sync.Mutex
 		outcomes := map[string]bool{}
-		res := Explore(Config{DisableSleepSet: disableSleep}, func(root *Thread) {
+		res := Explore(Config{disableSleepSet: disableSleep}, func(root *Thread) {
 			x := root.NewAtomicInit("x", 0)
 			y := root.NewAtomicInit("y", 0)
 			var r0, r1 int64

@@ -21,8 +21,9 @@ import (
 // across executions already obeys this (Failure renders its trace to a
 // string at creation time; Result holds no actions), and the spec layer
 // above keeps only derived data (fingerprints, counters) in its
-// cross-execution caches. Config.DisablePooling opts out for any client
-// that must retain actions.
+// cross-execution caches. The test-only Config.disablePooling switch
+// turns pooling off, as the unpooled reference run the tests compare
+// against.
 type execPool struct {
 	sys *System
 
@@ -44,7 +45,7 @@ type execPool struct {
 // newExecPool returns an empty pool for one shard, or nil when pooling
 // is disabled — every use site treats a nil pool as "allocate fresh".
 func newExecPool(c *Config) *execPool {
-	if c.DisablePooling {
+	if c.disablePooling {
 		return nil
 	}
 	return &execPool{}

@@ -84,22 +84,27 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestStatsMerge: counters add, depth maxes, timings add.
+// TestStatsMerge: counters add (RFClasses included), depth maxes,
+// timings add.
 func TestStatsMerge(t *testing.T) {
 	a := Stats{
 		PrunedSleepSet: 1, PrunedFairness: 2, PrunedStepBound: 3,
 		RFBranchPoints: 4, ScheduleBranchPoints: 5, ReplayedDecisions: 6,
 		MaxDecisionDepth: 7, TotalSteps: 8,
 		Histories: 9, HistoriesCapped: 1, AdmissibilityChecks: 10, JustifySearches: 11,
+		RFClasses:   5,
 		ExploreTime: time.Second, SpecTime: time.Millisecond,
 	}
-	b := Stats{MaxDecisionDepth: 3, RFBranchPoints: 1, ExploreTime: time.Second}
+	b := Stats{MaxDecisionDepth: 3, RFBranchPoints: 1, RFClasses: 3, ExploreTime: time.Second}
 	a.Merge(&b)
 	if a.MaxDecisionDepth != 7 {
 		t.Errorf("MaxDecisionDepth should max, got %d", a.MaxDecisionDepth)
 	}
 	if a.RFBranchPoints != 5 {
 		t.Errorf("RFBranchPoints should sum, got %d", a.RFBranchPoints)
+	}
+	if a.RFClasses != 8 {
+		t.Errorf("RFClasses should sum, got %d", a.RFClasses)
 	}
 	if a.ExploreTime != 2*time.Second {
 		t.Errorf("ExploreTime should sum, got %v", a.ExploreTime)

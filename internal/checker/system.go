@@ -537,7 +537,7 @@ func (s *System) bumpStep() {
 // scans entirely.
 func (s *System) visibleFloor(t *Thread, loc *location, ord memmodel.MemOrder) (floor int, published bool) {
 	scIdx := s.effectiveSCIdx(t, ord)
-	if s.cfg.DisableFloorCache {
+	if s.cfg.disableFloorCache {
 		return s.visibleFloorScan(t, loc, scIdx)
 	}
 	e := loc.cacheFor(t.id)
@@ -587,7 +587,7 @@ func (s *System) effectiveSCIdx(t *Thread, ord memmodel.MemOrder) int {
 // its own clock, so the read-read floor tightens without any epoch
 // moving. A stale-keyed entry is updated harmlessly (it cannot match).
 func (s *System) noteOwnLoad(t *Thread, loc *location, idx int) {
-	if s.cfg.DisableFloorCache {
+	if s.cfg.disableFloorCache {
 		return
 	}
 	if e := loc.cacheFor(t.id); e.valid && idx > e.floor {
@@ -678,7 +678,7 @@ func (s *System) addLoad(t *Thread, loc *location, idx int) {
 // dominated forever. Plain locations are never compacted — their load
 // records feed the data-race check, not just coherence.
 func (s *System) maybeCompactLoads(loc *location) {
-	if s.cfg.DisableLoadCompaction {
+	if s.cfg.disableLoadCompaction {
 		return
 	}
 	if loc.nextCompact == 0 {
@@ -811,7 +811,7 @@ func (s *System) checkPublished(t *Thread, loc *location, published bool, what s
 }
 
 // validatePin recomputes the visibility record the chooser pinned and
-// panics on any mismatch — the DebugReplayCheck guard that frozen-prefix
+// panics on any mismatch — the debugReplayCheck guard that frozen-prefix
 // replay really is deterministic. A mismatch is an internal invariant
 // violation, never a property of the checked program.
 func (s *System) validatePin(t *Thread, loc *location, ord memmodel.MemOrder, rec *floorRec, spinPrev int) {
@@ -905,7 +905,7 @@ func (s *System) doLoad(t *Thread, loc *location, ord memmodel.MemOrder) memmode
 		if rec.kind != 'r' {
 			panic(fmt.Sprintf("checker: replay pin desync: load of %s got record kind %q", loc.name, rec.kind))
 		}
-		if s.cfg.DebugReplayCheck {
+		if s.cfg.debugReplayCheck {
 			s.validatePin(t, loc, ord, rec, spinPrev)
 		}
 		floor, n = rec.floor, rec.n
@@ -1012,7 +1012,7 @@ func (s *System) doRMW(t *Thread, loc *location, ord memmodel.MemOrder, f func(m
 		if rec.kind != 'm' {
 			panic(fmt.Sprintf("checker: replay pin desync: RMW of %s got record kind %q", loc.name, rec.kind))
 		}
-		if s.cfg.DebugReplayCheck {
+		if s.cfg.debugReplayCheck {
 			s.validatePin(t, loc, ord, rec, -1)
 		}
 	} else {
@@ -1074,7 +1074,7 @@ func (s *System) doCAS(t *Thread, loc *location, expected, desired memmodel.Valu
 		if r.kind != 'c' {
 			panic(fmt.Sprintf("checker: replay pin desync: CAS of %s got record kind %q", loc.name, r.kind))
 		}
-		if s.cfg.DebugReplayCheck {
+		if s.cfg.debugReplayCheck {
 			s.validateCASPin(t, loc, expected, failOrd, r)
 		}
 		rec = r

@@ -178,9 +178,8 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 	}
 	res.Stats.WorkerBusy += time.Duration(e.busy.Load())
 	if c.rfSeen != nil {
-		// Exact final class count: the per-run snapshots folded from
-		// worker results are monotone reads of the shared registry and may
-		// trail it (see runOne); the workers have all stopped here.
+		// The class count lives in the shared registry, not in the folded
+		// per-execution results; the workers have all stopped here.
 		res.Stats.RFClasses = int(c.rfSeen.classes.Load())
 	}
 	// Exhausted is true only when the frontier drained without a stop and

@@ -53,17 +53,18 @@ type CheckpointFile struct {
 	// produce the identical Result.
 	Workers int `json:"workers,omitempty"`
 	// Model names the consistency model the frontier was explored under.
-	// Unlike the opt switches it changes the explored space itself, so a
-	// resume under a different model would silently mix incompatible
+	// Unlike the spec-cache switch it changes the explored space itself,
+	// so a resume under a different model would silently mix incompatible
 	// explorations — ValidateModel refuses it. Files written before model
 	// identity existed omit the field; absence means c11 (the only model
 	// that existed when v1 envelopes were introduced).
 	Model string `json:"model,omitempty"`
-	// NoCache / NoKernelOpts record the spec-cache and kernel-opt
-	// switches. They don't change the explored space's Results, but
-	// NoCache changes the spec_cache_* counters, so a resume must match.
-	NoCache      bool `json:"nocache,omitempty"`
-	NoKernelOpts bool `json:"nokernelopts,omitempty"`
+	// NoCache records the spec-cache switch. It doesn't change the
+	// explored space's Results, but it changes the spec_cache_* counters,
+	// so a resume adopts it. Envelopes written by earlier versions may
+	// also carry a "nokernelopts" field; it selected slow paths with
+	// identical results, and the decoder ignores it.
+	NoCache bool `json:"nocache,omitempty"`
 	// Reduce records the execution-equivalence reduction set the frontier
 	// was explored under (checker.ReduceSet canonical string). Like Model
 	// it shapes the explored space — a reduced frontier has already pruned

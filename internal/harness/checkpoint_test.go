@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,6 +131,39 @@ func TestWorkStealDeterminismAcrossResume(t *testing.T) {
 			requireSameResult(t, fmt.Sprintf("%s cut=1/%d", name, frac), seq, resumed, true)
 		}
 	}
+}
+
+// TestCheckpointNoKernelOptsBackCompat: envelopes written by earlier
+// versions carry "nokernelopts": true when the kernel optimizations were
+// off. That switch selected slow paths with identical results and is
+// gone; the reader ignores the field, and the resume is bit-identical to
+// an uninterrupted run.
+func TestCheckpointNoKernelOptsBackCompat(t *testing.T) {
+	b := BenchmarkByName("RCU")
+	seq := exploreBench(b, checker.Config{})
+	var cp *checker.Checkpoint
+	exploreBench(b, checker.Config{
+		MaxExecutions: seq.Executions / 2,
+		Checkpoint:    func(c *checker.Checkpoint) { cp = c },
+	})
+	if cp == nil || cp.Complete() {
+		t.Fatalf("bad cut: checkpoint %v", cp)
+	}
+	state, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cp.json")
+	envelope := `{"schema":"` + CheckpointFileSchema + `","benchmark":"RCU","workers":1,"nokernelopts":true,"state":` + string(state) + `}`
+	if err := os.WriteFile(path, []byte(envelope), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cf, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatalf("envelope with nokernelopts rejected: %v", err)
+	}
+	resumed := exploreBench(b, checker.Config{Parallelism: 2, ResumeFrom: cf.State})
+	requireSameResult(t, "nokernelopts envelope", seq, resumed, true)
 }
 
 // TestCheckpointFileValidation: the envelope reader rejects missing

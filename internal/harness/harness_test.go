@@ -134,9 +134,8 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSON: the bench-snapshot blob is valid JSON, carries the
-// schema marker, and round-trips the rows (the contract the CI
-// bench-snapshot artifact relies on).
+// TestSnapshotJSON: the -json snapshot blob is valid JSON, carries the
+// schema marker, and round-trips the rows.
 func TestSnapshotJSON(t *testing.T) {
 	fig7 := []Fig7Row{{Name: "X", Executions: 5, Feasible: 4, Pruned: 1,
 		Stats: checker.Stats{PrunedSleepSet: 1, TotalSteps: 40, SpecCacheHits: 7}}}
@@ -163,81 +162,16 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotBackCompat: ReadSnapshot accepts both the current v2
-// schema and archived v1 blobs (whose Stats lack the spec_cache_*
-// fields and must decode as zero / render as n/a), and rejects unknown
-// schemas.
-func TestReadSnapshotBackCompat(t *testing.T) {
-	v1 := []byte(`{
-	  "schema": "cdsspec-bench/v1",
-	  "fig7": [{"name": "X", "executions": 5, "feasible": 4,
-	            "stats": {"histories": 9, "total_steps": 40}}]
-	}`)
-	snap, err := ReadSnapshot(v1)
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if snap.Schema != SnapshotSchemaV1 || len(snap.Fig7) != 1 {
-		t.Fatalf("v1 snapshot misread: %+v", snap)
-	}
-	r := snap.Fig7[0]
-	if r.Stats.Histories != 9 || r.Stats.SpecCacheHits != 0 || r.Stats.SpecCacheMisses != 0 {
-		t.Errorf("v1 stats misread: %+v", r.Stats)
-	}
-	if got := SpecCacheHitRate(&r.Stats); got != "n/a" {
-		t.Errorf("v1 hit rate = %q, want n/a", got)
-	}
-
-	blob, err := SnapshotJSON([]Fig7Row{{Name: "X", Stats: checker.Stats{SpecCacheHits: 3, SpecCacheMisses: 1}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err = ReadSnapshot(blob)
-	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
-	}
-	if got := SpecCacheHitRate(&snap.Fig7[0].Stats); got != "75%" {
-		t.Errorf("v2 hit rate = %q, want 75%%", got)
-	}
-
-	if _, err := ReadSnapshot([]byte(`{"schema": "cdsspec-bench/v99"}`)); err == nil {
-		t.Error("unknown schema accepted")
-	}
-	if _, err := ReadSnapshot([]byte(`not json`)); err == nil {
-		t.Error("malformed blob accepted")
-	}
-}
-
-// TestDiffSnapshots: the CI diff renderer compares rows by name, flags
-// execution-count drift, and renders v1 sides as n/a hit rate.
-func TestDiffSnapshots(t *testing.T) {
-	old := &BenchSnapshot{Schema: SnapshotSchemaV1, Fig7: []Fig7Row{
-		{Name: "A", Executions: 10},
-		{Name: "Gone", Executions: 3},
-	}}
-	new_ := &BenchSnapshot{Schema: SnapshotSchema, Fig7: []Fig7Row{
-		{Name: "A", Executions: 12, Stats: checker.Stats{SpecCacheHits: 9, SpecCacheMisses: 1}},
-		{Name: "B", Executions: 4, Stats: checker.Stats{SpecCacheHits: 1, SpecCacheMisses: 1}},
-	}}
-	out := DiffSnapshots(old, new_)
-	for _, want := range []string{"EXECUTION COUNT CHANGED", "n/a", "90%", "(new row)", "(row removed)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("diff output missing %q:\n%s", want, out)
-		}
-	}
-	same := DiffSnapshots(new_, new_)
-	if strings.Contains(same, "CHANGED") || strings.Contains(same, "removed") {
-		t.Errorf("self-diff should be quiet:\n%s", same)
-	}
-}
-
 // TestFig7CacheColumn: the rendered Figure 7 table carries the cache
-// hit-rate column.
+// hit-rate column, and a row without cached checking renders it n/a.
 func TestFig7CacheColumn(t *testing.T) {
 	rows := []Fig7Row{{Name: "X", Stats: checker.Stats{SpecCacheHits: 3, SpecCacheMisses: 1}}}
 	out := FormatFig7(rows)
 	if !strings.Contains(out, "Cache") || !strings.Contains(out, "75%") {
 		t.Errorf("Figure 7 table missing cache column:\n%s", out)
+	}
+	if got := SpecCacheHitRate(&checker.Stats{}); got != "n/a" {
+		t.Errorf("hit rate without cached checking = %q, want n/a", got)
 	}
 }
 
@@ -272,6 +206,30 @@ func TestFig8ParallelDeterminism(t *testing.T) {
 	parCmp.Stats = parCmp.Stats.WithoutTimings()
 	if fmt.Sprintf("%+v", seqCmp) != fmt.Sprintf("%+v", parCmp) {
 		t.Errorf("parallel Fig8 row differs:\n  seq: %+v\n  par: %+v", seqCmp, parCmp)
+	}
+}
+
+// TestFig8RFClassesSumTrials: under the rf reduction a Figure 8 row
+// reports the sum of its trials' class counts, like every other counter
+// it folds through Stats.Merge.
+func TestFig8RFClassesSumTrials(t *testing.T) {
+	b := BenchmarkByName("M&S Queue")
+	opts := Options{Workers: 1, Reduce: checker.ReduceSet{RF: true}}
+	row := b.RunFig8(opts)
+	want := 0
+	for _, weak := range b.Orders().Weakenings() {
+		for _, prog := range b.Progs(weak) {
+			cfg := opts.ExplorerConfig(b.Name)
+			cfg.StopAtFirst = true
+			res := core.Explore(b.spec(opts), cfg, prog)
+			want += res.Stats.RFClasses
+			if res.FirstFailure() != nil {
+				break
+			}
+		}
+	}
+	if want == 0 || row.Stats.RFClasses != want {
+		t.Errorf("Figure 8 row reports %d rf classes, want the trials' sum %d", row.Stats.RFClasses, want)
 	}
 }
 

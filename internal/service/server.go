@@ -430,11 +430,11 @@ func (s *Server) runJob(j *job) {
 // resultPayload wraps a terminal payload with its job identity, so a
 // result.json is self-describing.
 type resultPayload struct {
-	ID        string              `json:"id"`
-	Kind      JobKind             `json:"kind"`
-	Benchmark string              `json:"benchmark"`
-	Result    *checker.Result     `json:"result,omitempty"`
-	Triage    *fuzz.TriageResult  `json:"triage,omitempty"`
+	ID        string             `json:"id"`
+	Kind      JobKind            `json:"kind"`
+	Benchmark string             `json:"benchmark"`
+	Result    *checker.Result    `json:"result,omitempty"`
+	Triage    *fuzz.TriageResult `json:"triage,omitempty"`
 }
 
 // runExplore runs (or resumes) a spec-checked work-stealing exploration.

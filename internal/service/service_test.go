@@ -176,10 +176,10 @@ func TestServiceSubmitValidation(t *testing.T) {
 	defer srv.Drain()
 
 	bad := []JobSpec{
-		{},                                  // no benchmark
-		{Benchmark: "No Such Structure"},    // unknown benchmark
-		{Benchmark: "RCU", Kind: "exhume"},  // unknown kind
-		{Benchmark: "RCU", Model: "tso"},    // unknown model
+		{},                                 // no benchmark
+		{Benchmark: "No Such Structure"},   // unknown benchmark
+		{Benchmark: "RCU", Kind: "exhume"}, // unknown kind
+		{Benchmark: "RCU", Model: "tso"},   // unknown model
 		{Benchmark: "RCU", MaxExecutions: -1},
 		{Benchmark: "RCU", Deadline: -time.Second},
 	}
