@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/checker"
+	"repro/internal/checker/model"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/memmodel"
@@ -182,14 +183,14 @@ func BenchmarkAblationRFBranchingOn(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRFBranchingOff explores only SC executions
-// (DisableStaleReads) under the same configuration: every load returns
-// the newest value, so the wrong-item violation can never manifest — the
-// ablation showing why a weak-memory checker needs reads-from branching.
+// BenchmarkAblationRFBranchingOff explores only SC executions (the sc
+// model) under the same configuration: every load returns the newest
+// value, so the wrong-item violation can never manifest — the ablation
+// showing why a weak-memory checker needs reads-from branching.
 func BenchmarkAblationRFBranchingOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := core.Explore(chaselev.Spec("d"),
-			checker.Config{StopAtFirst: true, DisableStaleReads: true, DisableLifetimeCheck: true},
+			checker.Config{StopAtFirst: true, Model: model.SC, DisableLifetimeCheck: true},
 			chaselevKnownBugWorkload())
 		if res.FailureCount != 0 {
 			b.Fatalf("SC-only exploration should miss the weak-memory bug, got %v", res.FirstFailure())

@@ -12,8 +12,7 @@
 //	cdsspec fastrun <benchmark>  fast-mode screen (random plausible executions)
 //	cdsspec dot <benchmark>      print one execution as a Graphviz graph
 //	cdsspec json <benchmark>     print one execution + stats as JSON
-//	cdsspec modeldiff <target>   diff behavior sets across consistency models
-//	cdsspec reducediff <target>  prove reduced == unreduced behavior sets
+//	cdsspec diff <target>        diff behavior sets across models or reductions
 //	cdsspec fuzz [benchmark]     run generative campaigns (§6.4's unit-test gap)
 //	cdsspec triage <benchmark>   screen→confirm→shrink triage over generated programs
 //	cdsspec shrink <benchmark>   minimize a failing generated program
@@ -30,11 +29,14 @@
 // stderr), -nocache (disable spec-check memoization), -model
 // (consistency model: c11, sc, or scatomics — see DESIGN.md), -reduce
 // (execution-equivalence reductions: all, none, or a comma list of
-// rf,symmetry,spinloop — default all for explore and reducediff, none
-// elsewhere; honored by run, resume, fig7 and fig8), -par N
+// rf,symmetry,spinloop — default all for explore, none elsewhere;
+// honored by run, resume, dot, json, fig7 and fig8), -par N
 // (work-stealing exploration workers), and -cpuprofile/-memprofile
-// (write pprof profiles of the subcommand). The modeldiff subcommand
-// adds -a and -b (the two models to compare). The explore and resume
+// (write pprof profiles of the subcommand). The diff subcommand names
+// its two legs' models with -a (default c11) and -b (default sc) instead
+// of -model; leg A runs unreduced and leg B under -reduce. It exits 1
+// when the two legs share a model and observe different behavior or
+// failure sets (a reduction soundness bug). The explore and resume
 // subcommands add -max, -checkpoint, -checkpoint-every and -verify (see
 // their help text); a SIGINT stops them gracefully and writes a final
 // checkpoint. Resume adopts the checkpoint's reduction set and refuses
@@ -78,6 +80,10 @@ type cli struct {
 	cpuProfile     string
 	memProfile     string
 
+	// progressMu serializes the -progress callback's writes to stderr:
+	// concurrent explorations (Figure 8 trials) report through it.
+	progressMu sync.Mutex
+
 	// -model: consistency model for the explored executions. model is
 	// the parsed ID; modelSet records whether the flag was given
 	// explicitly (resume adopts the envelope's model when it wasn't).
@@ -86,12 +92,12 @@ type cli struct {
 
 	// -reduce: execution-equivalence reductions. reduce is the parsed
 	// set; reduceGiven records whether the flag was given explicitly
-	// (explore and reducediff default to all reductions, resume adopts
-	// the checkpoint envelope's set).
+	// (explore defaults to all reductions, resume adopts the checkpoint
+	// envelope's set).
 	reduce      checker.ReduceSet
 	reduceGiven bool
 
-	// modeldiff -a/-b.
+	// diff -a/-b.
 	diffA, diffB string
 
 	// explore / resume flags.
@@ -145,6 +151,8 @@ func (c *cli) opts() harness.Options {
 	}
 	if c.progress {
 		o.Progress = func(name string, p checker.Progress) {
+			c.progressMu.Lock()
+			defer c.progressMu.Unlock()
 			if p.Final {
 				fmt.Fprintf(c.stderr, "[%s] done: %d executions in %v (%.0f exec/s, %d spec-cache hits)\n",
 					name, p.Executions, p.Elapsed.Round(timeUnit), p.ExecsPerSec, p.SpecCacheHits)
@@ -202,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sub.StringVar(&c.weaken, "weaken", "", "fuzz/shrink: weaken this memory-order site one step (seeded bug)")
 	sub.IntVar(&c.index, "index", 0, "shrink: corpus entry index among the benchmark's entries")
 	sub.BoolVar(&c.verbose, "v", false, "list: include op registries and memory-order sites")
-	sub.IntVar(&c.par, "par", 0, "explore/resume: work-stealing workers (0 = use -workers, 1 = one worker)")
+	sub.IntVar(&c.par, "par", 0, "explore/resume/diff: work-stealing workers (0 = use -workers, 1 = one worker)")
 	sub.IntVar(&c.maxExecs, "max", 0, "explore/resume: total execution budget incl. checkpointed work (0 = exhaustive)")
 	sub.StringVar(&c.checkpointPath, "checkpoint", "", "explore/resume: write the exploration checkpoint to this file")
 	sub.DurationVar(&c.checkpointEvery, "checkpoint-every", 0, "explore/resume: also checkpoint periodically at this interval")
@@ -216,9 +224,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sub.IntVar(&c.fastRuns, "fastruns", 0, "triage: fast-mode screen runs per program (0 = default 200)")
 	sub.BoolVar(&c.shrinkHits, "shrink", false, "triage: minimize confirmed reproducers")
 	modelName := sub.String("model", "", "consistency model: c11 (default), sc, or scatomics")
-	reduceName := sub.String("reduce", "", "execution-equivalence reductions: all, none, or a comma list of rf,symmetry,spinloop (explore/reducediff default: all; elsewhere: none)")
-	sub.StringVar(&c.diffA, "a", "c11", "modeldiff: first model")
-	sub.StringVar(&c.diffB, "b", "sc", "modeldiff: second model")
+	reduceName := sub.String("reduce", "", "execution-equivalence reductions: all, none, or a comma list of rf,symmetry,spinloop (explore default: all; elsewhere: none)")
+	sub.StringVar(&c.diffA, "a", "c11", "diff: model of leg A (explored unreduced)")
+	sub.StringVar(&c.diffB, "b", "sc", "diff: model of leg B (explored under -reduce)")
 	if err := sub.Parse(rest[1:]); err != nil {
 		return 2
 	}
@@ -321,20 +329,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		return c.fastRunCmd(pos[0])
-	case "modeldiff":
+	case "diff":
 		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec modeldiff [-a model] [-b model] [-json] <target>")
-			fmt.Fprintf(stderr, "targets: %s\n", strings.Join(harness.ModelDiffTargets(), ", "))
+			fmt.Fprintln(stderr, "usage: cdsspec diff [-a model] [-b model] [-reduce set] [-par N] [-json] <target>")
+			fmt.Fprintf(stderr, "targets: %s\n", strings.Join(harness.DiffTargets(), ", "))
 			return 2
 		}
-		return c.modelDiffCmd(pos[0])
-	case "reducediff":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec reducediff [-reduce set] [-model m] [-par N] [-json] <target>")
-			fmt.Fprintf(stderr, "targets: %s\n", strings.Join(harness.ModelDiffTargets(), ", "))
-			return 2
-		}
-		return c.reduceDiffCmd(pos[0])
+		return c.diffCmd(pos[0])
 	case "serve":
 		return c.serveCmd()
 	case "submit":
@@ -385,21 +386,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: cdsspec [-workers N] {fig7|fig8|knownbugs|overlystrong|specstats|run <benchmark>|explore <benchmark>|resume <file>|fastrun <benchmark>|dot <benchmark>|json <benchmark>|modeldiff <target>|reducediff <target>|fuzz [benchmark]|triage <benchmark>|shrink <benchmark>|serve|submit <benchmark>|jobs|watch <job-id>|cancel <job-id>|list [-v]|all} [-json] [-progress] [-nocache] [-model c11|sc|scatomics] [-reduce all|none|rf,symmetry,spinloop] [-cpuprofile file] [-memprofile file]")
+	fmt.Fprintln(w, "usage: cdsspec [-workers N] {fig7|fig8|knownbugs|overlystrong|specstats|run <benchmark>|explore <benchmark>|resume <file>|fastrun <benchmark>|dot <benchmark>|json <benchmark>|diff <target>|fuzz [benchmark]|triage <benchmark>|shrink <benchmark>|serve|submit <benchmark>|jobs|watch <job-id>|cancel <job-id>|list [-v]|all} [-json] [-progress] [-nocache] [-model c11|sc|scatomics] [-reduce all|none|rf,symmetry,spinloop] [-cpuprofile file] [-memprofile file]")
 	fmt.Fprintln(w, "  explore/resume flags: -par N -max N -checkpoint file -checkpoint-every dur -verify (explore defaults to -reduce=all)")
-	fmt.Fprintln(w, "  reducediff flags: -reduce set -model m -par N (compares the reduced vs unreduced behavior sets; fails on any difference)")
+	fmt.Fprintln(w, "  diff flags: -a model -b model -reduce set -par N (leg A: -a unreduced; leg B: -b under -reduce; litmus targets SB, MP, IRIW or any benchmark; exits 1 when same-model legs differ)")
 	fmt.Fprintln(w, "  fuzz/shrink flags: -seed N -count N -budget N -corpus file -weaken site -index N")
 	fmt.Fprintln(w, "  triage flags: -seed N -count N -budget N -fastruns N -shrink -corpus file -weaken site")
 	fmt.Fprintln(w, "  fastrun flags: -seed N -max N -time dur -par N")
-	fmt.Fprintln(w, "  modeldiff flags: -a model -b model (litmus targets: SB, MP, IRIW; or any benchmark)")
 	fmt.Fprintln(w, "  serve flags: -state dir -addr host:port -jobs N -checkpoint-every dur")
 	fmt.Fprintln(w, "  submit/jobs/watch/cancel flags: -state dir|-addr host:port; submit adds -kind -max -par -deadline plus the triage flags")
 }
 
-// modelDiffCmd explores target under the -a and -b models and reports
-// the behavior- and failure-set differences. A non-empty diff is the
-// expected outcome, not an error; only unknown targets/models fail.
-func (c *cli) modelDiffCmd(target string) int {
+// diffCmd explores target as two legs — A under the -a model with no
+// reduction, B under the -b model and the -reduce set — and reports the
+// behavior- and failure-set differences. Across models a non-empty diff
+// is the expected outcome, not an error. Under one model the legs must
+// be identical: a difference is a reduction soundness bug and exits 1.
+func (c *cli) diffCmd(target string) int {
+	if c.modelSet {
+		fmt.Fprintln(c.stderr, "diff names its two models with -a and -b, not -model")
+		return 2
+	}
 	a, err := model.Parse(c.diffA)
 	if err != nil {
 		fmt.Fprintln(c.stderr, err)
@@ -410,40 +416,14 @@ func (c *cli) modelDiffCmd(target string) int {
 		fmt.Fprintln(c.stderr, err)
 		return 2
 	}
-	rep, err := harness.RunModelDiff(target, a, b, c.opts())
-	if err != nil {
-		fmt.Fprintln(c.stderr, err)
-		return 2
-	}
-	if c.jsonOut {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(c.stderr, "encoding report: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(c.stdout, string(blob))
-		return 0
-	}
-	fmt.Fprint(c.stdout, rep.Render())
-	return 0
-}
-
-// reduceDiffCmd explores target twice — unreduced and under the -reduce
-// set (default all) — and compares the observable behavior and failure
-// sets, which the reduction must preserve exactly. A behavior-set
-// difference is a soundness bug and fails the command; CI runs this as
-// the reduction-smoke gate.
-func (c *cli) reduceDiffCmd(target string) int {
-	if !c.reduceGiven {
-		c.reduce = checker.ReduceAll()
-	}
-	if !c.reduce.Any() {
-		fmt.Fprintln(c.stderr, "reducediff needs a non-empty -reduce set to compare against the unreduced run")
-		return 2
-	}
-	opts := c.opts()
-	opts.Parallelism = c.parallelism()
-	rep, err := harness.RunReduceDiff(target, c.reduce, opts)
+	optsA := c.opts()
+	optsA.Parallelism = c.parallelism()
+	optsA.Model = a
+	optsA.Reduce = checker.ReduceSet{}
+	optsB := optsA
+	optsB.Model = b
+	optsB.Reduce = c.reduce
+	rep, err := harness.RunDiff(target, optsA, optsB)
 	if err != nil {
 		fmt.Fprintln(c.stderr, err)
 		return 2
@@ -458,8 +438,9 @@ func (c *cli) reduceDiffCmd(target string) int {
 	} else {
 		fmt.Fprint(c.stdout, rep.Render())
 	}
-	if !rep.Sound {
-		fmt.Fprintf(c.stderr, "reducediff: reduction %q changed the behavior set for %q\n", c.reduce, target)
+	if rep.A.Model == rep.B.Model && !rep.Identical {
+		fmt.Fprintf(c.stderr, "diff: both legs ran under %s (reduce=%s vs reduce=%s) but observed different behavior or failure sets on %q\n",
+			rep.A.Model, rep.A.Reduce, rep.B.Reduce, target)
 		return 1
 	}
 	return 0
@@ -530,20 +511,22 @@ func (c *cli) dotOne(name string) int {
 		return unknownBenchmark(c.stderr, name)
 	}
 	// The first DFS paths may be pruned (fairness); capture the first
-	// feasible execution and stop shortly after.
+	// feasible execution and stop shortly after. -model and -reduce shape
+	// which execution that is.
 	var dot string
-	cfg := checker.Config{
-		MaxExecutions: 1000,
-		OnExecution: func(sys *checker.System) []*checker.Failure {
-			if dot == "" {
-				dot = checker.ExportDOT(sys)
-				return []*checker.Failure{{Kind: checker.FailAssertion, Msg: "stop after first feasible execution"}}
-			}
-			return nil
-		},
-	}
+	spec := b.Spec()
+	spec.DisableCheckCache = c.nocache
+	cfg := c.opts().ExplorerConfig(b.Name)
+	cfg.MaxExecutions = 1000
 	cfg.StopAtFirst = true
-	core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
+	cfg.OnExecution = func(sys *checker.System) []*checker.Failure {
+		if dot == "" {
+			dot = checker.ExportDOT(sys)
+			return []*checker.Failure{{Kind: checker.FailAssertion, Msg: "stop after first feasible execution"}}
+		}
+		return nil
+	}
+	core.Explore(spec, cfg, b.Progs(b.Orders())[0])
 	fmt.Fprint(c.stdout, dot)
 	return 0
 }

@@ -135,6 +135,43 @@ func TestProgressFlag(t *testing.T) {
 	}
 }
 
+// TestDotHonorsModel: dot explores under -model, so the first feasible
+// execution it prints differs between c11 and sc.
+func TestDotHonorsModel(t *testing.T) {
+	dot := func(args ...string) string {
+		var out, errOut strings.Builder
+		if code := run(append([]string{"dot"}, args...), &out, &errOut); code != 0 {
+			t.Fatalf("dot %q exited %d: %s", args, code, errOut.String())
+		}
+		return out.String()
+	}
+	if c11, sc := dot("SPSC Queue"), dot("-model", "sc", "SPSC Queue"); c11 == sc {
+		t.Errorf("dot -model sc printed the c11 graph:\n%s", sc)
+	}
+}
+
+// TestReportVerbs runs the report verbs no other test drives through the
+// CLI and checks each exits 0 with its header line.
+func TestReportVerbs(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		header string
+	}{
+		{[]string{"dot", "SPSC Queue"}, "digraph execution {"},
+		{[]string{"knownbugs"}, "=== §6.4.1: known bugs ==="},
+		{[]string{"specstats"}, "=== §6.2: specification statistics ==="},
+	} {
+		var out, errOut strings.Builder
+		if code := run(tc.args, &out, &errOut); code != 0 {
+			t.Errorf("%q exited %d: %s", tc.args, code, errOut.String())
+			continue
+		}
+		if first, _, _ := strings.Cut(out.String(), "\n"); first != tc.header {
+			t.Errorf("%q: first line %q, want %q", tc.args, first, tc.header)
+		}
+	}
+}
+
 // snapshotStats decodes a fig7-only snapshot from a finished run.
 func snapshotStats(t *testing.T, out string) harness.Fig7Row {
 	t.Helper()

@@ -9,12 +9,28 @@ import (
 	"repro/internal/harness"
 )
 
-// TestModelDiffCLI: the modeldiff subcommand on SB reports the relaxed
-// store-buffering outcome as c11-only, in both renderings.
+// runDiffJSON runs `cdsspec diff -json` with args and decodes the report.
+func runDiffJSON(t *testing.T, wantCode int, args ...string) harness.DiffReport {
+	t.Helper()
+	var out, errOut strings.Builder
+	if code := run(append([]string{"diff", "-json"}, args...), &out, &errOut); code != wantCode {
+		t.Fatalf("diff -json %q exited %d, want %d: %s", args, code, wantCode, errOut.String())
+	}
+	var rep harness.DiffReport
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatalf("decoding report: %v\n%s", err, out.String())
+	}
+	return rep
+}
+
+// TestModelDiffCLI: the diff subcommand on SB reports the relaxed
+// store-buffering outcome as c11-only, in both renderings; a model
+// diffed against itself is identical and exits 0; and -b with -reduce
+// turns it into the reduction soundness check.
 func TestModelDiffCLI(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"modeldiff", "SB"}, &out, &errOut); code != 0 {
-		t.Fatalf("modeldiff SB exited %d: %s", code, errOut.String())
+	if code := run([]string{"diff", "SB"}, &out, &errOut); code != 0 {
+		t.Fatalf("diff SB exited %d: %s", code, errOut.String())
 	}
 	for _, want := range []string{"only c11: r1=0 r2=0", "c11 vs sc"} {
 		if !strings.Contains(out.String(), want) {
@@ -22,27 +38,34 @@ func TestModelDiffCLI(t *testing.T) {
 		}
 	}
 
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"modeldiff", "-json", "-a", "c11", "-b", "sc", "SB"}, &out, &errOut); code != 0 {
-		t.Fatalf("modeldiff -json exited %d: %s", code, errOut.String())
-	}
-	var rep harness.ModelDiffReport
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("decoding report: %v", err)
-	}
-	if rep.OnlyACount < 1 || rep.OnlyBCount != 0 {
+	rep := runDiffJSON(t, 0, "-a", "c11", "-b", "sc", "SB")
+	if rep.OnlyACount < 1 || rep.OnlyBCount != 0 || rep.Identical {
 		t.Errorf("unexpected diff counts: %+v", rep)
+	}
+
+	rep = runDiffJSON(t, 0, "-a", "sc", "-b", "sc", "MP")
+	if !rep.Identical || rep.A.Model != "sc" || rep.B.Model != "sc" {
+		t.Errorf("sc vs sc on MP should be identical: %+v", rep)
+	}
+
+	rep = runDiffJSON(t, 0, "-b", "c11", "-reduce=all", "MP")
+	if !rep.Identical || rep.A.Reduce != "none" || rep.B.Reduce != "rf,symmetry,spinloop" ||
+		rep.A.Executions != 25 || rep.B.Executions != 15 {
+		t.Errorf("reduced MP diff: identical=%v a=%s/%d b=%s/%d, want true none/25 rf,symmetry,spinloop/15",
+			rep.Identical, rep.A.Reduce, rep.A.Executions, rep.B.Reduce, rep.B.Executions)
 	}
 }
 
-// TestModelDiffCLIErrors: unknown targets and models exit 2 with a
-// message naming the valid choices.
+// TestModelDiffCLIErrors: unknown targets and models, and an explicit
+// -model on diff (which names its models with -a and -b), exit 2 with a
+// message on stderr.
 func TestModelDiffCLIErrors(t *testing.T) {
 	cases := [][]string{
-		{"modeldiff"},
-		{"modeldiff", "no-such-target"},
-		{"modeldiff", "-a", "tso", "SB"},
+		{"diff"},
+		{"diff", "no-such-target"},
+		{"diff", "-a", "tso", "SB"},
+		{"diff", "-b", "tso", "SB"},
+		{"diff", "-model", "sc", "SB"},
 		{"explore", "-model", "tso", "M&S Queue"},
 	}
 	for _, args := range cases {

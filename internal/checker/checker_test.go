@@ -263,29 +263,6 @@ func TestStepBoundPrunes(t *testing.T) {
 	}
 }
 
-// TestRandomWalkDeterministicSeed: same seed, same outcome counts.
-func TestRandomWalkDeterministicSeed(t *testing.T) {
-	run := func() string {
-		var log []string
-		cfg := Config{RandomWalk: 20, Seed: 7,
-			OnExecution: func(sys *System) []*Failure {
-				log = append(log, fmt.Sprint(len(sys.Actions())))
-				return nil
-			}}
-		Explore(cfg, func(root *Thread) {
-			x := root.NewAtomicInit("x", 0)
-			a := root.Spawn("a", func(tt *Thread) { x.Store(tt, memmodel.Relaxed, 1) })
-			b := root.Spawn("b", func(tt *Thread) { _ = x.Load(tt, memmodel.Relaxed) })
-			root.Join(a)
-			root.Join(b)
-		})
-		return strings.Join(log, ",")
-	}
-	if run() != run() {
-		t.Error("random walk with fixed seed not deterministic")
-	}
-}
-
 // TestStopAtFirst stops after the first failing execution.
 func TestStopAtFirst(t *testing.T) {
 	res := Explore(Config{StopAtFirst: true}, func(root *Thread) {
@@ -317,11 +294,13 @@ func TestMaxFailuresCap(t *testing.T) {
 	}
 }
 
-// TestTooManyThreads: exceeding MaxThreads is an API misuse, not a hang.
+// TestTooManyThreads: exceeding the simulated-thread limit (16, the
+// root included) is an API misuse, not a hang.
 func TestTooManyThreads(t *testing.T) {
-	res := Explore(Config{MaxThreads: 2, StopAtFirst: true}, func(root *Thread) {
-		root.Spawn("a", func(tt *Thread) {})
-		root.Spawn("b", func(tt *Thread) {})
+	res := Explore(Config{StopAtFirst: true}, func(root *Thread) {
+		for i := 0; i < maxThreads+1; i++ {
+			root.Spawn(fmt.Sprintf("t%d", i), func(tt *Thread) {})
+		}
 	})
 	if !res.HasKind(FailAPIMisuse) {
 		t.Errorf("expected API misuse: %v", res)

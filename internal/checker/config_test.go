@@ -11,8 +11,8 @@ import (
 
 // TestConfigValidate pins the rejection of configurations that earlier
 // versions silently mishandled: a negative StoreBound was clamped up to 2
-// as if it were a small bound, and FastMode quietly ignored checkpoint,
-// resume, and random-walk settings instead of refusing them.
+// as if it were a small bound, and FastMode quietly ignored checkpoint
+// and resume settings instead of refusing them.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,9 +30,6 @@ func TestConfigValidate(t *testing.T) {
 		{"fastmode-checkpoint", Config{FastMode: true, Checkpoint: func(*Checkpoint) {}}, "cannot checkpoint"},
 		{"fastmode-checkpoint-every", Config{FastMode: true, CheckpointEvery: 1}, "cannot checkpoint"},
 		{"fastmode-resume", Config{FastMode: true, ResumeFrom: &Checkpoint{}}, "cannot resume"},
-		{"fastmode-randomwalk", Config{FastMode: true, RandomWalk: 10}, "mutually exclusive"},
-		{"randomwalk-resume", Config{RandomWalk: 10, ResumeFrom: &Checkpoint{}}, "cannot resume"},
-		{"randomwalk-checkpoint-ignored", Config{RandomWalk: 10, Checkpoint: func(*Checkpoint) {}}, ""},
 		// Checkpoint-interval misconfigurations: a negative interval used
 		// to fall through every `> 0` guard (behaving as "final snapshot
 		// only" while still forcing the engine), and a positive interval
@@ -64,13 +61,13 @@ func TestExplorePanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("Explore accepted FastMode + RandomWalk without panicking")
+			t.Fatal("Explore accepted FastMode + ResumeFrom without panicking")
 		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "mutually exclusive") {
+		if s, ok := r.(string); !ok || !strings.Contains(s, "cannot resume") {
 			t.Fatalf("unexpected panic value: %v", r)
 		}
 	}()
-	Explore(Config{FastMode: true, RandomWalk: 5}, func(root *Thread) {})
+	Explore(Config{FastMode: true, ResumeFrom: &Checkpoint{}}, func(root *Thread) {})
 }
 
 // routingProg is a tiny exhaustible program (relaxed SB) for the routing
@@ -92,10 +89,8 @@ func routingProg(root *Thread) {
 	root.Join(b)
 }
 
-// TestEngineRoutingPrecedence pins the documented three-level routing
-// table (FastMode > RandomWalk > the work-stealing DFS engine) through
-// observable engine behavior. The FastMode-vs-RandomWalk edge needs no
-// routing pin anymore: Validate rejects the combination outright.
+// TestEngineRoutingPrecedence pins the documented routing (FastMode >
+// the work-stealing DFS engine) through observable engine behavior.
 func TestEngineRoutingPrecedence(t *testing.T) {
 	// The DFS engine serves every other run, at any Parallelism: it
 	// exhausts, delivers the final checkpoint snapshot, and its result
@@ -126,17 +121,5 @@ func TestEngineRoutingPrecedence(t *testing.T) {
 	if fast.Exhausted || fast.Executions != 100 {
 		t.Errorf("FastMode + Parallelism routed wrong: exhausted=%v executions=%d, want false/100",
 			fast.Exhausted, fast.Executions)
-	}
-
-	// RandomWalk outranks the DFS engine, and its documented-ignored
-	// Checkpoint stays ignored (walks have no frontier).
-	cpCalls := 0
-	walk := Explore(Config{RandomWalk: 120, Parallelism: 4, Seed: 3, Checkpoint: func(*Checkpoint) { cpCalls++ }}, routingProg)
-	if walk.Exhausted || walk.Executions != 120 {
-		t.Errorf("RandomWalk + Parallelism routed wrong: exhausted=%v executions=%d, want false/120",
-			walk.Exhausted, walk.Executions)
-	}
-	if cpCalls != 0 {
-		t.Errorf("RandomWalk invoked the Checkpoint callback %d times; walks do not checkpoint", cpCalls)
 	}
 }

@@ -16,7 +16,6 @@ package checker
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -26,14 +25,14 @@ import (
 // Config controls an exploration.
 type Config struct {
 	// Model selects the consistency model the exploration runs under
-	// (default model.C11). Every engine honors it — exhaustive DFS, the
-	// work-stealing engine, RandomWalk, and FastMode — because the rules
-	// live behind the per-System consistency backend, not in the engines.
+	// (default model.C11). Both engines honor it — the work-stealing DFS
+	// engine and FastMode — because the rules live behind the per-System
+	// consistency backend, not in the engines.
 	// An unknown model is a configuration error (Validate reports it;
 	// Explore panics on it).
 	Model model.ID
 	// MaxExecutions bounds the number of executions explored
-	// (0 = exhaustive). It applies to both DFS and RandomWalk mode.
+	// (0 = exhaustive). In FastMode it is the run budget.
 	MaxExecutions int
 	// Parallelism is the number of worker goroutines exploring
 	// concurrently (0 or 1 = one worker). DFS mode explores with
@@ -42,44 +41,22 @@ type Config struct {
 	// task's result at its canonical decision-path position, so an
 	// exhaustive run returns bit-identical
 	// Executions/Feasible/Pruned/Failures/Stats (timings and scheduler
-	// telemetry aside) at every worker count. RandomWalk mode shards the
-	// walk count, with each worker drawing from an independent seed
-	// derived from Seed. When Parallelism > 1 the OnRunStart and
+	// telemetry aside) at every worker count. FastMode shards its run
+	// budget, with each run drawing from an independent seed derived from
+	// Seed. When Parallelism > 1 the OnRunStart and
 	// OnExecution hooks must be safe for concurrent use (each call still
 	// receives a distinct *System).
 	Parallelism int
 	// MaxSteps bounds the visible operations per execution; runs that
 	// exceed it are pruned as infeasible. 0 uses a default of 4000.
 	MaxSteps int
-	// MaxThreads bounds simultaneous simulated threads (default 16).
-	MaxThreads int
 	// StopAtFirst stops the exploration at the first failure.
 	StopAtFirst bool
 	// MaxFailures bounds how many failures are retained (default 16).
 	MaxFailures int
-	// TraceLimit bounds the rendered trace length in failure reports
-	// (default 64 actions).
-	TraceLimit int
-	// RandomWalk, when positive, replaces exhaustive DFS with that many
-	// independent random executions (decisions drawn from Seed). Useful
-	// for state spaces too large to exhaust.
-	//
-	// Engine-routing precedence (explicit; each mode ignores the knobs of
-	// the ones below it):
-	//
-	//	1. FastMode       — single-pass plausible executions, O(live state)
-	//	2. RandomWalk > 0 — uniform random walks with full bookkeeping
-	//	3. otherwise      — the work-stealing DFS engine, at any Parallelism
-	//
-	// FastMode and RandomWalk honor Parallelism by sharding their run
-	// budget over contiguous index blocks with per-run derived seeds, so
-	// their Result and Stats are bit-identical at any Parallelism (timings
-	// aside). Checkpoint/ResumeFrom apply only to DFS; Interrupt is
-	// honored by every mode.
-	RandomWalk int
-	// Seed seeds RandomWalk and FastMode. Each run's decision stream is
-	// derived from (Seed, run index), so results do not depend on how runs
-	// are scheduled across workers.
+	// Seed seeds FastMode. Each run's decision stream is derived from
+	// (Seed, run index), so results do not depend on how runs are
+	// scheduled across workers.
 	Seed int64
 	// FastMode replaces exploration with C11Tester-style plausible-
 	// execution sampling: each run picks one random schedule and one
@@ -91,6 +68,13 @@ type Config struct {
 	// (core.Explore rejects the combination). MaxExecutions is the run
 	// budget (default 1000 when 0); Exhausted is never set — sampling
 	// proves presence, not absence.
+	//
+	// Engine routing: FastMode when set, otherwise the work-stealing DFS
+	// engine at any Parallelism. FastMode honors Parallelism by sharding
+	// its run budget over contiguous index blocks with per-run derived
+	// seeds, so its Result and Stats are bit-identical at any Parallelism
+	// (timings aside). Checkpoint/ResumeFrom apply only to DFS; Interrupt
+	// is honored by both engines.
 	FastMode bool
 	// TimeBudget, when positive, stops a FastMode run loop after the
 	// elapsed wall clock exceeds it (checked between runs). With
@@ -103,18 +87,13 @@ type Config struct {
 	// everything and can no longer be read stale — the plausibility
 	// approximation that keeps memory constant.
 	StoreBound int
-	// DisableStaleReads, when set, forces every atomic load to read the
-	// mo-latest store — i.e. explores only sequentially-consistent
-	// executions. Used by the ablation benchmarks.
-	DisableStaleReads bool
 	// Reduce selects the execution-equivalence reductions (reduce.go):
 	// rf-class subtree pruning over a shared seen-set, thread-symmetry
 	// canonicalization, and spinloop/await bounding. Zero value = no
 	// reduction (the pre-reduction explorer). Each mechanism is
 	// independently toggleable and composes with the DFS engine at any
-	// Parallelism and with every Model backend; RandomWalk
-	// supports only Spinloop, and FastMode supports none (Validate
-	// rejects the other combinations). The behavior set — spec
+	// Parallelism and with every Model backend; FastMode supports none
+	// (Validate rejects the combination). The behavior set — spec
 	// fingerprints and failure kinds — is preserved exactly; see
 	// DESIGN.md §5c for the equivalence key and soundness argument.
 	Reduce ReduceSet
@@ -165,8 +144,8 @@ type Config struct {
 	// NewScratch, when set, is called once per exploration shard and its
 	// result is exposed to the hooks as System.Scratch for every execution
 	// of that shard. In DFS mode each branch of the root decision node is
-	// one shard, whichever workers explore it (in RandomWalk and FastMode
-	// each run is a shard). The CDSSpec layer keeps its spec-check
+	// one shard, whichever workers explore it (in FastMode each run is a
+	// shard). The CDSSpec layer keeps its spec-check
 	// memoization cache here — tying shards to the decision tree rather
 	// than to workers is what keeps cache-derived Stats counters
 	// bit-identical at every worker count. Several workers may explore one
@@ -190,8 +169,6 @@ type Config struct {
 	// every CheckpointEvery (when positive) and once more after the
 	// workers stop — whether the run completed, hit MaxExecutions, or was
 	// interrupted — never concurrently with itself, at any Parallelism.
-	// RandomWalk mode does not checkpoint (walks are independent; rerun
-	// the missing count instead).
 	Checkpoint func(*Checkpoint)
 	// CheckpointEvery is the period between Checkpoint snapshots (0 =
 	// only the final snapshot).
@@ -232,10 +209,8 @@ type Config struct {
 // The checks reject combinations that earlier versions silently ignored
 // or mishandled: a negative StoreBound fell through the minimum clamp to
 // 2 as if it were a small bound, and FastMode quietly dropped
-// Checkpoint/ResumeFrom/RandomWalk instead of refusing them (FastMode
-// samples independent runs — there is no frontier to checkpoint and no
-// walk bookkeeping; the engines are mutually exclusive by the routing
-// precedence documented on RandomWalk).
+// Checkpoint/ResumeFrom instead of refusing them (FastMode samples
+// independent runs — there is no frontier to checkpoint).
 func (c *Config) Validate() error {
 	if !c.Model.OrDefault().Valid() {
 		return fmt.Errorf("checker: unknown memory model %q (valid: %s)", c.Model, strings.Join(model.Names(), ", "))
@@ -249,18 +224,9 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("checker: FastMode cannot checkpoint — runs are independent samples with no decision frontier; rerun the missing budget instead")
 		case c.ResumeFrom != nil:
 			return fmt.Errorf("checker: FastMode cannot resume a checkpoint — checkpoints hold a DFS frontier, which FastMode does not explore")
-		case c.RandomWalk > 0:
-			return fmt.Errorf("checker: FastMode and RandomWalk are mutually exclusive engines — set MaxExecutions to size the FastMode run budget")
+		case c.Reduce.Any():
+			return fmt.Errorf("checker: FastMode samples plausible executions with no decision tree, so the %s reduction has nothing to prune — drop Reduce or FastMode", c.Reduce)
 		}
-	}
-	if c.RandomWalk > 0 && c.ResumeFrom != nil {
-		return fmt.Errorf("checker: RandomWalk cannot resume a checkpoint — checkpoints hold a DFS frontier; rerun the missing walk count instead")
-	}
-	if c.FastMode && c.Reduce.Any() {
-		return fmt.Errorf("checker: FastMode samples plausible executions with no decision tree, so the %s reduction has nothing to prune — drop Reduce or FastMode", c.Reduce)
-	}
-	if c.RandomWalk > 0 && (c.Reduce.RF || c.Reduce.Symmetry) {
-		return fmt.Errorf("checker: RandomWalk supports only the spinloop reduction — rf and symmetry prune DFS subtrees, which independent walks do not have (got Reduce=%s)", c.Reduce)
 	}
 	// A negative interval previously fell through every `> 0` guard and
 	// behaved as 0 (final snapshot only) — reject it instead of silently
@@ -275,19 +241,22 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+const (
+	// maxThreads bounds simultaneous simulated threads; spawning past it
+	// is an API misuse failure.
+	maxThreads = 16
+	// traceLimit bounds the rendered trace length in failure reports, in
+	// actions.
+	traceLimit = 64
+)
+
 func (c *Config) withDefaults() *Config {
 	out := *c
 	if out.MaxSteps == 0 {
 		out.MaxSteps = 4000
 	}
-	if out.MaxThreads == 0 {
-		out.MaxThreads = 16
-	}
 	if out.MaxFailures == 0 {
 		out.MaxFailures = 16
-	}
-	if out.TraceLimit == 0 {
-		out.TraceLimit = 64
 	}
 	if out.ProgressInterval == 0 {
 		out.ProgressInterval = time.Second
@@ -401,7 +370,6 @@ type decision struct {
 type dfsChooser struct {
 	decisions    []decision
 	depth        int
-	disableRF    bool
 	disableSleep bool
 	// stats receives decision counters; the engine points it at the leaf
 	// Result of the task being run. Fresh decision nodes count as branch
@@ -480,15 +448,6 @@ func (d *dfsChooser) noteDecision(fresh, sched bool) {
 
 func (d *dfsChooser) choose(n int, kind byte) int {
 	if n <= 1 {
-		return 0
-	}
-	if d.disableRF && (kind == 'r' || kind == 'c') {
-		// SC-only exploration: always pick the newest store / the
-		// success branch (choice 0 is "success" for CAS and we must
-		// map loads to the latest store, which is the last index).
-		if kind == 'r' {
-			return n - 1
-		}
 		return 0
 	}
 	if d.depth < len(d.decisions) {
@@ -640,75 +599,6 @@ func (d *dfsChooser) rootBranch() int {
 	return d.nodes[0].branch
 }
 
-// randChooser draws every decision uniformly at random.
-type randChooser struct {
-	rng        *rand.Rand
-	disableRF  bool
-	stats      *Stats
-	scratchRec floorRec
-}
-
-// pinnedFloor: random walks never replay a prefix, so value sites always
-// compute fresh.
-func (r *randChooser) pinnedFloor() (*floorRec, bool) { return nil, false }
-
-// freshDecision: walks never replay, so every decision is fresh.
-func (r *randChooser) freshDecision() bool { return true }
-
-func (r *randChooser) noteFloor(rec floorRec) *floorRec {
-	r.scratchRec = rec
-	return &r.scratchRec
-}
-
-func (r *randChooser) choose(n int, kind byte) int {
-	if n <= 1 {
-		return 0
-	}
-	if r.disableRF && (kind == 'r' || kind == 'c') {
-		if kind == 'r' {
-			return n - 1
-		}
-		return 0
-	}
-	if r.stats != nil {
-		// Random walks never replay, so every multi-way decision is a
-		// branch point.
-		if kind == 'l' {
-			r.stats.ScheduleBranchPoints++
-		} else {
-			r.stats.RFBranchPoints++
-		}
-	}
-	return r.rng.Intn(n)
-}
-
-func (r *randChooser) pickThread(s *System, enabled []*Thread) *Thread {
-	if s.cfg.Reduce.Spinloop {
-		// Drop provably futile spinners unless that would drop everyone
-		// (the remaining futile spinners still drive livelock detection).
-		live := 0
-		for _, t := range enabled {
-			if !s.spinBlocked(t) {
-				live++
-			}
-		}
-		if live > 0 && live < len(enabled) {
-			s.redSpinBounds += len(enabled) - live
-			out := enabled[:0]
-			for _, t := range enabled {
-				if !s.spinBlocked(t) {
-					out = append(out, t)
-				}
-			}
-			enabled = out
-		}
-	}
-	if r.stats != nil && len(enabled) > 1 {
-		r.stats.ScheduleBranchPoints++
-	}
-	return enabled[r.rng.Intn(len(enabled))]
-}
-
 // record folds a failure into the result, retaining at most maxFailures.
 func (r *Result) record(f *Failure, maxFailures int) {
 	r.FailureCount++
@@ -792,20 +682,9 @@ func (c *Config) newScratch() any {
 	return c.NewScratch()
 }
 
-// randomWalkBudget returns the number of random-walk executions to run,
-// honoring MaxExecutions.
-func (c *Config) randomWalkBudget() int {
-	n := c.RandomWalk
-	if c.MaxExecutions > 0 && c.MaxExecutions < n {
-		n = c.MaxExecutions
-	}
-	return n
-}
-
 // newDFSChooser builds a chooser for exhaustive exploration under c.
 func newDFSChooser(c *Config) *dfsChooser {
 	return &dfsChooser{
-		disableRF:    c.DisableStaleReads,
 		disableSleep: c.disableSleepSet,
 		pin:          !c.disableReplayPinning,
 	}
@@ -825,13 +704,10 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 		}
 		defer c.progress.close()
 	}
-	// Engine routing — the precedence documented on Config.RandomWalk:
-	// FastMode > RandomWalk > the work-stealing DFS engine.
-	switch {
-	case c.FastMode:
+	// Engine routing, as documented on Config.FastMode: FastMode, else
+	// the work-stealing DFS engine.
+	if c.FastMode {
 		return exploreFast(c, root)
-	case c.RandomWalk > 0:
-		return exploreRandomWalk(c, root)
 	}
 	return exploreWorkSteal(c, root)
 }
@@ -1029,7 +905,7 @@ func (s *System) reportStuck() {
 			Msg:       msg,
 			Execution: s.execIndex,
 			ActionID:  s.lastActionID(),
-			Trace:     s.TraceString(s.cfg.TraceLimit),
+			Trace:     s.TraceString(traceLimit),
 		}
 	}
 	s.aborted = true

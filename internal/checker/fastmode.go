@@ -10,7 +10,7 @@ import (
 // fresh schedule and reads-from assignment from a biased sampler seeded
 // by (Config.Seed, run index), so a fixed budget produces bit-identical
 // results at any Parallelism (workers own contiguous index blocks merged
-// in block order, exactly like exploreRandomWalk). The per-run state the
+// in block order). The per-run state the
 // System retains is bounded: per-location store buffers hold at most
 // StoreBound stores (system.go maybeEvict), the action trace is not
 // recorded (system.go recordFast), and actions/clocks recycle through
@@ -18,9 +18,9 @@ import (
 // pool).
 
 // derivedSeed maps (seed, run index) to an independent 64-bit stream
-// seed via the splitmix64 finalizer. Both the random-walk and fast-mode
-// engines key every run's decisions on this value alone, which is what
-// makes results independent of how runs are distributed over workers.
+// seed via the splitmix64 finalizer. Fast mode keys every run's
+// decisions on this value alone, which is what makes results independent
+// of how runs are distributed over workers.
 func derivedSeed(seed int64, i int) uint64 {
 	z := uint64(seed) + (uint64(i)+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -43,7 +43,6 @@ func derivedSeed(seed int64, i int) uint64 {
 type fastChooser struct {
 	s          uint64 // splitmix64 state, reseeded per run
 	lastTid    int    // thread the previous pickThread chose (-1 at run start)
-	disableRF  bool
 	stats      *Stats
 	scratchRec floorRec
 }
@@ -87,15 +86,9 @@ func (f *fastChooser) choose(n int, kind byte) int {
 	if n <= 1 {
 		return 0
 	}
-	if f.disableRF && (kind == 'r' || kind == 'c') {
-		if kind == 'r' {
-			return n - 1
-		}
-		return 0
-	}
 	if f.stats != nil {
 		// Fast runs never replay, so every multi-way decision is a
-		// branch point (mirrors randChooser).
+		// branch point.
 		if kind == 'l' {
 			f.stats.ScheduleBranchPoints++
 		} else {
@@ -152,9 +145,9 @@ func (c *Config) fastRunBudget() int {
 	return 1000
 }
 
-// exploreFast is Explore for fast mode. It shares the sharding and merge
-// discipline of exploreRandomWalk — contiguous run-index blocks per
-// worker, per-run derived seeds, block-order merge — so the Result is
+// exploreFast is Explore for fast mode. Workers own contiguous run-index
+// blocks, each run draws from its own derived seed, and the blocks merge
+// in order (mergeInto), so the Result is
 // bit-identical (modulo timing fields) across Parallelism settings for a
 // fixed budget. TimeBudget, StopAtFirst and Interrupt cut the run
 // sequence between runs; with Parallelism > 1 the cut point is
@@ -210,7 +203,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 // the chooser per index. deadline (zero = none) is the TimeBudget cutoff;
 // b (nil when sequential) carries StopAtFirst/TimeBudget cancellation.
 func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, deadline time.Time, b *bounds) {
-	ch := &fastChooser{disableRF: c.DisableStaleReads, stats: &res.Stats}
+	ch := &fastChooser{stats: &res.Stats}
 	pool := newExecPool(c)
 	for i := from; i < to; i++ {
 		if b != nil && b.stopped() {

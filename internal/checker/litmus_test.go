@@ -656,55 +656,6 @@ func TestMaxExecutionsBound(t *testing.T) {
 	}
 }
 
-// TestRandomWalk: the random walk mode runs the requested number of
-// executions.
-func TestRandomWalk(t *testing.T) {
-	res := Explore(Config{RandomWalk: 25, Seed: 42}, func(root *Thread) {
-		x := root.NewAtomicInit("x", 0)
-		a := root.Spawn("a", func(tt *Thread) { x.Store(tt, memmodel.Relaxed, 1) })
-		root.Join(a)
-	})
-	if res.Executions != 25 {
-		t.Errorf("expected 25 random executions, got %v", res)
-	}
-}
-
-// TestDisableStaleReads: with stale reads disabled, relaxed MP cannot lose
-// the payload — the ablation that shows why rf-branching matters.
-func TestDisableStaleReads(t *testing.T) {
-	outcomes := map[string]int{}
-	var cur string
-	cfg := Config{
-		DisableStaleReads: true,
-		OnRunStart:        func(sys *System) { cur = "" },
-		OnExecution: func(sys *System) []*Failure {
-			outcomes[cur]++
-			return nil
-		},
-	}
-	res := Explore(cfg, func(root *Thread) {
-		x := root.NewAtomicInit("x", 0)
-		flag := root.NewAtomicInit("flag", 0)
-		w := root.Spawn("w", func(tt *Thread) {
-			x.Store(tt, memmodel.Relaxed, 42)
-			flag.Store(tt, memmodel.Relaxed, 1)
-		})
-		r := root.Spawn("r", func(tt *Thread) {
-			f := flag.Load(tt, memmodel.Relaxed)
-			v := x.Load(tt, memmodel.Relaxed)
-			cur = fmt.Sprintf("f=%d v=%d", f, v)
-		})
-		root.Join(w)
-		root.Join(r)
-	})
-	if !res.Exhausted {
-		t.Fatalf("not exhausted: %v", res)
-	}
-	if outcomes["f=1 v=0"] != 0 {
-		t.Errorf("SC-only exploration should not see stale payload: %v", outcomes)
-	}
-}
-
 // TestSCPerLocationOrder: an SC load never reads a store older than the
 // last SC store to the location preceding it in S.
 func TestSCPerLocationOrder(t *testing.T) {

@@ -227,7 +227,8 @@ func TestModelDiffIRIW(t *testing.T) {
 // C11 and scatomics the missing edge is a real data race on the plain
 // payload; under sc every atomic store synchronizes, so the weakened
 // program is indistinguishable from the correct one. This is exactly the
-// "bug only under relaxed semantics" class modeldiff exists to surface.
+// "bug only under relaxed semantics" class `cdsspec diff` exists to
+// surface.
 func TestModelDiffSeededBug(t *testing.T) {
 	seeded := func(root *Thread) {
 		p := root.NewPlainInit("p", 0)
@@ -326,15 +327,15 @@ func TestModelScanAgreesWithCachedFloor(t *testing.T) {
 	}
 }
 
-// TestModelEnginesAgree: RandomWalk and FastMode runs under sc/scatomics
-// must be feasible and respect the model (no run of a relaxed SB walk may
-// report the weak outcome under sc) — the backends are engine-independent.
+// TestModelEnginesAgree: FastMode runs under sc must be feasible and
+// respect the model (no run of relaxed SB may report the weak outcome
+// under sc) — the backends are engine-independent. The DFS engine's side
+// is TestModelDiffStoreBuffering.
 func TestModelEnginesAgree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"random-walk", Config{Model: model.SC, RandomWalk: 200, Seed: 11}},
 		{"fast-mode", Config{Model: model.SC, FastMode: true, MaxExecutions: 200, Seed: 11}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,17 +1,15 @@
 package checker
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file holds the run-sharing helpers of the engines: the shared
-// execution budget, and the block-sharded RandomWalk engine (every walk
-// already owns a private System, so only the Result merge matters). DFS
-// mode runs on the work-stealing engine (worksteal.go) at any
-// Parallelism.
+// execution budget, the worker pool and the block-order Result merge
+// that FastMode's sharded run loop uses (every run already owns a
+// private System, so only the merge matters). DFS mode runs on the
+// work-stealing engine (worksteal.go) at any Parallelism.
 
 // bounds is the shared execution budget and cancellation state of an
 // exploration's workers.
@@ -99,92 +97,12 @@ func runPool(workers, tasks int, run func(task int)) {
 // sequential run would have retained (sequential keeps the first
 // maxFailures in this exact order); the final cap then drops precisely
 // the surplus, never a failure the sequential run kept. Used by the
-// random-walk and fast-mode merges; DFS folds through foldList instead.
+// fast-mode merge; DFS folds through foldList instead.
 func mergeInto(res *Result, locals []*Result, maxFailures int) {
 	for _, local := range locals {
 		if local == nil {
 			continue
 		}
 		mergeResults(res, local, maxFailures)
-	}
-}
-
-// exploreRandomWalk runs the RandomWalk engine at any Parallelism. Each
-// walk index draws its decisions from an independent seed derived from
-// (Seed, index), and workers own contiguous index blocks merged in block
-// order — so walk i behaves identically no matter which worker runs it,
-// and the Result (Executions, Failures, every non-timing Stat) is
-// bit-identical across Parallelism 1/4/16 for a fixed budget. (The old
-// per-worker seeding made results depend on the worker count, and
-// RandomWalk with Parallelism > 1 silently fell into the DFS branch.)
-//
-// Each walk is its own exploration shard (fresh Scratch): spec-check
-// caching never carries over between walks, trading cross-walk cache
-// reuse for seed stability — cache counters are a deterministic function
-// of the walk set alone. StopAtFirst and Interrupt cut the walk sequence
-// nondeterministically when Parallelism > 1.
-func exploreRandomWalk(c *Config, root func(*Thread)) *Result {
-	res := &Result{}
-	start := time.Now()
-	defer func() { res.Elapsed += time.Since(start) }()
-	total := c.randomWalkBudget()
-	if total <= 0 {
-		return res
-	}
-	workers := c.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > total {
-		workers = total
-	}
-	if workers == 1 {
-		walkBlock(c, res, root, 0, total, nil)
-		return res
-	}
-	b := newBounds(0, 0)
-	starts := make([]int, workers+1)
-	for w := 0; w < workers; w++ {
-		n := total / workers
-		if w < total%workers {
-			n++
-		}
-		starts[w+1] = starts[w] + n
-	}
-	locals := make([]*Result, workers)
-	runPool(workers, workers, func(w int) {
-		local := &Result{}
-		locals[w] = local
-		walkBlock(c, local, root, starts[w], starts[w+1], b)
-	})
-	mergeInto(res, locals, c.MaxFailures)
-	return res
-}
-
-// walkBlock runs walk indices [from, to) into res, reseeding the chooser
-// per index. b (nil when sequential) carries StopAtFirst cancellation.
-func walkBlock(c *Config, res *Result, root func(*Thread), from, to int, b *bounds) {
-	ch := &randChooser{disableRF: c.DisableStaleReads, stats: &res.Stats}
-	pool := newExecPool(c)
-	for i := from; i < to; i++ {
-		if b != nil && b.stopped() {
-			return
-		}
-		if c.Interrupt != nil {
-			select {
-			case <-c.Interrupt:
-				return
-			default:
-			}
-		}
-		ch.rng = rand.New(rand.NewSource(int64(derivedSeed(c.Seed, i))))
-		scratch := c.newScratch() // each walk is one shard
-		failed := runOne(c, res, ch, root, scratch, pool)
-		if failed && c.StopAtFirst {
-			if b != nil {
-				b.cancel()
-			}
-			return
-		}
 	}
 }

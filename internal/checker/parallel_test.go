@@ -192,19 +192,6 @@ func manyExecProgram(root *Thread) {
 	root.Join(b)
 }
 
-// TestRandomWalkHonorsMaxExecutions: the walk budget is min(RandomWalk,
-// MaxExecutions). The old loop ignored MaxExecutions entirely.
-func TestRandomWalkHonorsMaxExecutions(t *testing.T) {
-	res := Explore(Config{RandomWalk: 100, MaxExecutions: 7, Seed: 1}, manyExecProgram)
-	if res.Executions != 7 {
-		t.Errorf("random walk ran %d executions, want 7", res.Executions)
-	}
-	res = Explore(Config{RandomWalk: 5, MaxExecutions: 100, Seed: 1}, manyExecProgram)
-	if res.Executions != 5 {
-		t.Errorf("random walk ran %d executions, want 5", res.Executions)
-	}
-}
-
 // TestDFSHonorsMaxExecutions: DFS stops exactly at the bound, sequential
 // and parallel alike.
 func TestDFSHonorsMaxExecutions(t *testing.T) {
@@ -429,19 +416,16 @@ func TestParallelOutcomeSets(t *testing.T) {
 	}
 }
 
-// TestParallelRandomWalk: the sharded walk runs exactly the budgeted
-// number of executions.
+// TestParallelRandomWalk: fast mode, which samples one random walk per
+// run, runs exactly its budget when the runs are sharded over workers,
+// including more workers than runs, which must neither deadlock nor
+// overrun.
 func TestParallelRandomWalk(t *testing.T) {
-	res := Explore(Config{RandomWalk: 200, Seed: 42, Parallelism: 4}, manyExecProgram)
+	res := Explore(Config{FastMode: true, MaxExecutions: 200, Seed: 42, Parallelism: 4}, manyExecProgram)
 	if res.Executions != 200 {
 		t.Errorf("parallel random walk ran %d executions, want 200", res.Executions)
 	}
-	res = Explore(Config{RandomWalk: 200, MaxExecutions: 50, Seed: 42, Parallelism: 4}, manyExecProgram)
-	if res.Executions != 50 {
-		t.Errorf("bounded parallel random walk ran %d executions, want 50", res.Executions)
-	}
-	// More workers than walks must not deadlock or overrun.
-	res = Explore(Config{RandomWalk: 3, Seed: 7, Parallelism: 16}, manyExecProgram)
+	res = Explore(Config{FastMode: true, MaxExecutions: 3, Seed: 7, Parallelism: 16}, manyExecProgram)
 	if res.Executions != 3 {
 		t.Errorf("oversubscribed parallel random walk ran %d executions, want 3", res.Executions)
 	}

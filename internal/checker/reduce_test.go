@@ -49,10 +49,8 @@ func TestParseReduce(t *testing.T) {
 	}
 }
 
-// TestReduceConfigValidate: the sampling engines have no frontier to
-// prune — FastMode rejects every reduction, RandomWalk rejects rf and
-// symmetry but composes with spinloop filtering; the DFS engines accept
-// everything.
+// TestReduceConfigValidate: FastMode has no frontier to prune, so it
+// rejects every reduction; the DFS engine accepts everything.
 func TestReduceConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -60,10 +58,8 @@ func TestReduceConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"fastmode+rf", Config{FastMode: true, MaxExecutions: 1, Reduce: ReduceSet{RF: true}}, false},
+		{"fastmode+symmetry", Config{FastMode: true, MaxExecutions: 1, Reduce: ReduceSet{Symmetry: true}}, false},
 		{"fastmode+spinloop", Config{FastMode: true, MaxExecutions: 1, Reduce: ReduceSet{Spinloop: true}}, false},
-		{"randomwalk+rf", Config{RandomWalk: 10, Reduce: ReduceSet{RF: true}}, false},
-		{"randomwalk+symmetry", Config{RandomWalk: 10, Reduce: ReduceSet{Symmetry: true}}, false},
-		{"randomwalk+spinloop", Config{RandomWalk: 10, Reduce: ReduceSet{Spinloop: true}}, true},
 		{"sequential+all", Config{Reduce: ReduceAll()}, true},
 		{"worksteal+all", Config{Parallelism: 4, Reduce: ReduceAll()}, true},
 	}

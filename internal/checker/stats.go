@@ -118,7 +118,7 @@ type Stats struct {
 	// inside executions (vs stealing or parked) — the numerator of the
 	// busy fraction WorkerBusy / (Elapsed × workers). All three survive
 	// checkpoint/resume boundaries; every DFS run reports them (one
-	// worker included), and they stay zero under RandomWalk and FastMode.
+	// worker included), and they stay zero under FastMode.
 	Steals      int           `json:"steals"`
 	MaxFrontier int           `json:"max_frontier"`
 	WorkerBusy  time.Duration `json:"worker_busy_ns"`

@@ -200,7 +200,7 @@ func (s *System) failf(kind FailureKind, format string, args ...any) {
 			Msg:       fmt.Sprintf(format, args...),
 			Execution: s.execIndex,
 			ActionID:  s.lastActionID(),
-			Trace:     s.TraceString(s.cfg.TraceLimit),
+			Trace:     s.TraceString(traceLimit),
 		}
 	}
 	s.aborted = true
@@ -249,8 +249,8 @@ func (s *System) TraceString(limit int) string {
 // newThread registers a thread running fn whose clock starts as a copy
 // of src (empty when src is nil; Spawn passes the parent's clock).
 func (s *System) newThread(name string, fn func(*Thread), src *memmodel.ClockVector) *Thread {
-	if len(s.threads) >= s.cfg.MaxThreads {
-		s.failf(FailAPIMisuse, "too many threads (max %d)", s.cfg.MaxThreads)
+	if len(s.threads) >= maxThreads {
+		s.failf(FailAPIMisuse, "too many threads (max %d)", maxThreads)
 	}
 	var t *Thread
 	if s.pool != nil {

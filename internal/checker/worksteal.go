@@ -76,9 +76,9 @@ type wsWorker struct {
 	subs []*wsTask
 }
 
-// exploreWorkSteal runs the engine; c has defaults applied. FastMode and
-// RandomWalk route through their own engines before this one (see the
-// precedence on Config.RandomWalk).
+// exploreWorkSteal runs the engine; c has defaults applied. FastMode
+// routes through its own engine before this one (see the routing note on
+// Config.FastMode).
 func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 	workers := c.Parallelism
 	if workers < 1 {

@@ -36,13 +36,14 @@ type Options struct {
 	Parallelism int
 	// Model selects the consistency model for every exploration the
 	// harness runs (zero value = c11). The paper's numbers are C/C++11
-	// numbers; the other models exist for behavior diffing (modeldiff).
+	// numbers; the other models exist for behavior diffing (RunDiff).
 	Model model.ID
 	// Reduce selects the execution-equivalence reductions
 	// (checker.Config.Reduce) for every exploration the harness runs.
 	// Zero value = no reduction. Reduction preserves the behavior set —
 	// spec fingerprints and failure kinds — while cutting the executions
-	// explored; the reducediff comparison pins that claim per benchmark.
+	// explored; a one-model RunDiff with one leg reduced pins that claim
+	// per target.
 	Reduce checker.ReduceSet
 	// Progress, when set, receives periodic exploration snapshots labeled
 	// with the benchmark name (the cdsspec -progress flag feeds on it).

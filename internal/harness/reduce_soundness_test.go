@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/checker"
@@ -64,28 +63,6 @@ func failureKindsEqual(t *testing.T, label string, u, r *checker.Result) {
 	}
 }
 
-// runProgLeg explores an arbitrary program against a spec, collecting
-// spec fingerprints as behavior keys — runBenchmarkLeg for programs that
-// are not a benchmark's primary workload.
-func runProgLeg(spec *core.Spec, cfg checker.Config, prog func(*checker.Thread)) *legRun {
-	lr := &legRun{behaviors: map[string]bool{}, failures: map[string]bool{}}
-	var mu sync.Mutex
-	cfg.OnExecution = func(sys *checker.System) []*checker.Failure {
-		if mon := core.FromSys(sys); mon != nil {
-			key := fmt.Sprintf("%016x", mon.Fingerprint())
-			mu.Lock()
-			lr.behaviors[key] = true
-			mu.Unlock()
-		}
-		return nil
-	}
-	lr.res = core.Explore(spec, cfg, prog)
-	for _, f := range lr.res.Failures {
-		lr.failures[failureSig(f)] = true
-	}
-	return lr
-}
-
 // TestReduceSoundnessLitmus checks the full matrix on the litmus trio:
 // every model, every worker count, reduced vs unreduced, identical
 // outcome sets and failure signatures.
@@ -94,8 +71,8 @@ func TestReduceSoundnessLitmus(t *testing.T) {
 		for _, id := range soundnessModels {
 			for _, workers := range soundnessWorkers {
 				label := fmt.Sprintf("%s/%s/w%d", lt.Name, id, workers)
-				u := runLitmusLeg(lt, id, Options{Parallelism: workers, Model: id})
-				r := runLitmusLeg(lt, id, Options{Parallelism: workers, Model: id, Reduce: checker.ReduceAll()})
+				u := runLitmusLeg(lt, Options{Parallelism: workers, Model: id})
+				r := runLitmusLeg(lt, Options{Parallelism: workers, Model: id, Reduce: checker.ReduceAll()})
 				behaviorEqual(t, label, u, r)
 				failureKindsEqual(t, label, u.res, r.res)
 				if r.res.Executions > u.res.Executions {
@@ -116,8 +93,8 @@ func TestReduceSoundnessMSQueue(t *testing.T) {
 		classes := -1
 		for _, workers := range soundnessWorkers {
 			label := fmt.Sprintf("msqueue/%s/w%d", id, workers)
-			u := runBenchmarkLeg(b, id, Options{Parallelism: workers, Model: id})
-			r := runBenchmarkLeg(b, id, Options{Parallelism: workers, Model: id, Reduce: checker.ReduceAll()})
+			u := runBenchmarkLeg(b, Options{Parallelism: workers, Model: id})
+			r := runBenchmarkLeg(b, Options{Parallelism: workers, Model: id, Reduce: checker.ReduceAll()})
 			behaviorEqual(t, label, u, r)
 			failureKindsEqual(t, label, u.res, r.res)
 			if classes == -1 {
@@ -140,8 +117,8 @@ func TestReduceSoundnessMPMC(t *testing.T) {
 	b := BenchmarkByName("MPMC Queue")
 	for _, workers := range soundnessWorkers {
 		label := fmt.Sprintf("mpmc/c11/w%d", workers)
-		u := runBenchmarkLeg(b, "c11", Options{Parallelism: workers})
-		r := runBenchmarkLeg(b, "c11", Options{Parallelism: workers, Reduce: checker.ReduceAll()})
+		u := runBenchmarkLeg(b, Options{Parallelism: workers})
+		r := runBenchmarkLeg(b, Options{Parallelism: workers, Reduce: checker.ReduceAll()})
 		behaviorEqual(t, label, u, r)
 		failureKindsEqual(t, label, u.res, r.res)
 		if ratio := float64(u.res.Executions) / float64(r.res.Executions); ratio < 5 {
@@ -168,8 +145,8 @@ func TestReduceSoundnessSeededBugs(t *testing.T) {
 		{"chaselev-weak-resize", cl.Spec(), cl.Progs(chaselev.KnownBugOrders())[1]},
 	}
 	for _, tc := range cases {
-		u := runProgLeg(tc.spec, checker.Config{}, tc.prog)
-		r := runProgLeg(tc.spec, checker.Config{Reduce: checker.ReduceAll()}, tc.prog)
+		u := specLeg(tc.spec, checker.Config{}, tc.prog)
+		r := specLeg(tc.spec, checker.Config{Reduce: checker.ReduceAll()}, tc.prog)
 		if len(u.res.Failures) == 0 || len(r.res.Failures) == 0 {
 			t.Errorf("%s: seeded bug not detected (unreduced %d failures, reduced %d)",
 				tc.name, len(u.res.Failures), len(r.res.Failures))
@@ -198,19 +175,19 @@ func TestReduceExecutionCountsPinned(t *testing.T) {
 		{"MPMC Queue", 159076, 5507, 5},
 	}
 	for _, tc := range cases {
-		rep, err := RunReduceDiff(tc.target, checker.ReduceAll(), Options{})
+		rep, err := RunDiff(tc.target, Options{}, Options{Reduce: checker.ReduceAll()})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.target, err)
 		}
-		if !rep.Sound {
+		if !rep.Identical {
 			t.Errorf("%s: reduction is not sound: %d behaviors only unreduced, %d only reduced",
-				tc.target, rep.OnlyUnreducedCount, rep.OnlyReducedCount)
+				tc.target, rep.OnlyACount, rep.OnlyBCount)
 		}
-		if rep.Unreduced.Executions != tc.unreduced {
-			t.Errorf("%s: unreduced executions = %d, want %d", tc.target, rep.Unreduced.Executions, tc.unreduced)
+		if rep.A.Executions != tc.unreduced {
+			t.Errorf("%s: unreduced executions = %d, want %d", tc.target, rep.A.Executions, tc.unreduced)
 		}
-		if rep.Reduced.Executions != tc.reduced {
-			t.Errorf("%s: reduced executions = %d, want %d", tc.target, rep.Reduced.Executions, tc.reduced)
+		if rep.B.Executions != tc.reduced {
+			t.Errorf("%s: reduced executions = %d, want %d", tc.target, rep.B.Executions, tc.reduced)
 		}
 		if rep.Ratio < tc.reducedFloor {
 			t.Errorf("%s: reduction factor %.2fx below the %.0fx acceptance floor", tc.target, rep.Ratio, tc.reducedFloor)
@@ -247,8 +224,8 @@ func TestReduceRatioMSQueueWorkload(t *testing.T) {
 		root.Join(bb)
 		q.Deq(root)
 	}
-	u := runProgLeg(b.Spec(), checker.Config{}, prog)
-	r := runProgLeg(b.Spec(), checker.Config{Reduce: checker.ReduceAll()}, prog)
+	u := specLeg(b.Spec(), checker.Config{}, prog)
+	r := specLeg(b.Spec(), checker.Config{Reduce: checker.ReduceAll()}, prog)
 	behaviorEqual(t, "msqueue-3x3", u, r)
 	failureKindsEqual(t, "msqueue-3x3", u.res, r.res)
 	ratio := float64(u.res.Executions) / float64(r.res.Executions)
@@ -279,9 +256,9 @@ func TestReduceSymmetryRenamesBehaviors(t *testing.T) {
 		root.Join(bb)
 		q.Deq(root)
 	}
-	u := runProgLeg(b.Spec(), checker.Config{}, prog)
-	sym := runProgLeg(b.Spec(), checker.Config{Reduce: checker.ReduceAll()}, prog)
-	nosym := runProgLeg(b.Spec(), checker.Config{Reduce: checker.ReduceSet{RF: true, Spinloop: true}}, prog)
+	u := specLeg(b.Spec(), checker.Config{}, prog)
+	sym := specLeg(b.Spec(), checker.Config{Reduce: checker.ReduceAll()}, prog)
+	nosym := specLeg(b.Spec(), checker.Config{Reduce: checker.ReduceSet{RF: true, Spinloop: true}}, prog)
 
 	behaviorEqual(t, "symmetric-twins/no-symmetry", u, nosym)
 	failureKindsEqual(t, "symmetric-twins/no-symmetry", u.res, nosym.res)
