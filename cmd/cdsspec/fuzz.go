@@ -14,11 +14,10 @@ import (
 // flags, wiring per-program progress reporting when requested.
 func (c *cli) campaignConfig() fuzz.CampaignConfig {
 	cfg := fuzz.CampaignConfig{
-		Seed:             c.seed,
-		Count:            c.count,
-		Budget:           c.budget,
-		Workers:          c.workers,
-		DisableSpecCache: c.nocache,
+		Seed:    c.seed,
+		Count:   c.count,
+		Budget:  c.budget,
+		Workers: c.workers,
 	}
 	if c.progress {
 		cfg.Progress = func(i int, p checker.Progress) {

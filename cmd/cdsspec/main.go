@@ -26,11 +26,10 @@
 //
 // Flags: -workers N (global or per-subcommand), and per-subcommand
 // -json (machine-readable output), -progress (periodic progress to
-// stderr), -nocache (disable spec-check memoization), -model
-// (consistency model: c11, sc, or scatomics — see DESIGN.md), -reduce
-// (execution-equivalence reductions: all, none, or a comma list of
-// rf,symmetry,spinloop — default all for explore, none elsewhere;
-// honored by run, resume, dot, json, fig7 and fig8), -par N
+// stderr), -model (consistency model: c11, sc, or scatomics — see
+// DESIGN.md), -reduce (execution-equivalence reductions: all, none, or
+// a comma list of rf,symmetry,spinloop — default all for explore, none
+// elsewhere; honored by run, resume, dot, json, fig7 and fig8), -par N
 // (work-stealing exploration workers), and -cpuprofile/-memprofile
 // (write pprof profiles of the subcommand). The diff subcommand names
 // its two legs' models with -a (default c11) and -b (default sc) instead
@@ -39,8 +38,8 @@
 // failure sets (a reduction soundness bug). The explore and resume
 // subcommands add -max, -checkpoint, -checkpoint-every and -verify (see
 // their help text); a SIGINT stops them gracefully and writes a final
-// checkpoint. Resume adopts the checkpoint's reduction set and refuses
-// an explicit -reduce that disagrees with it.
+// checkpoint. Resume adopts the checkpoint's model and reduction set and
+// refuses an explicit -model or -reduce that disagrees with them.
 // The fuzz and shrink subcommands add -seed, -count, -budget, -corpus,
 // -weaken and -index. The fastrun subcommand adds -seed, -max (run
 // budget), -time (wall-clock budget) and -par. Subcommand flags go
@@ -76,7 +75,6 @@ type cli struct {
 	workers        int
 	jsonOut        bool
 	progress       bool
-	nocache        bool
 	cpuProfile     string
 	memProfile     string
 
@@ -86,14 +84,14 @@ type cli struct {
 
 	// -model: consistency model for the explored executions. model is
 	// the parsed ID; modelSet records whether the flag was given
-	// explicitly (resume adopts the envelope's model when it wasn't).
+	// explicitly (resume adopts the checkpoint's model when it wasn't).
 	model    model.ID
 	modelSet bool
 
 	// -reduce: execution-equivalence reductions. reduce is the parsed
 	// set; reduceGiven records whether the flag was given explicitly
-	// (explore defaults to all reductions, resume adopts the checkpoint
-	// envelope's set).
+	// (explore defaults to all reductions, resume adopts the checkpoint's
+	// set).
 	reduce      checker.ReduceSet
 	reduceGiven bool
 
@@ -142,12 +140,11 @@ func (c *cli) parallelism() int {
 
 func (c *cli) opts() harness.Options {
 	o := harness.Options{
-		Workers:          c.workers,
-		Model:            c.model,
-		Reduce:           c.reduce,
-		DisableSpecCache: c.nocache,
-		CPUProfile:       c.cpuProfile,
-		MemProfile:       c.memProfile,
+		Workers:    c.workers,
+		Model:      c.model,
+		Reduce:     c.reduce,
+		CPUProfile: c.cpuProfile,
+		MemProfile: c.memProfile,
 	}
 	if c.progress {
 		o.Progress = func(name string, p checker.Progress) {
@@ -200,7 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	subWorkers := sub.Int("workers", c.workers, "worker pool size (0 = GOMAXPROCS)")
 	sub.BoolVar(&c.jsonOut, "json", false, "emit machine-readable JSON instead of tables")
 	sub.BoolVar(&c.progress, "progress", false, "print periodic exploration progress to stderr")
-	sub.BoolVar(&c.nocache, "nocache", false, "disable the per-shard spec-check memoization cache")
 	sub.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the subcommand to this file")
 	sub.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile after the subcommand to this file")
 	sub.Uint64Var(&c.seed, "seed", 1, "fuzz: program generator seed (same seed = same batch)")
@@ -386,8 +382,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: cdsspec [-workers N] {fig7|fig8|knownbugs|overlystrong|specstats|run <benchmark>|explore <benchmark>|resume <file>|fastrun <benchmark>|dot <benchmark>|json <benchmark>|diff <target>|fuzz [benchmark]|triage <benchmark>|shrink <benchmark>|serve|submit <benchmark>|jobs|watch <job-id>|cancel <job-id>|list [-v]|all} [-json] [-progress] [-nocache] [-model c11|sc|scatomics] [-reduce all|none|rf,symmetry,spinloop] [-cpuprofile file] [-memprofile file]")
-	fmt.Fprintln(w, "  explore/resume flags: -par N -max N -checkpoint file -checkpoint-every dur -verify (explore defaults to -reduce=all)")
+	fmt.Fprintln(w, "usage: cdsspec [-workers N] {fig7|fig8|knownbugs|overlystrong|specstats|run <benchmark>|explore <benchmark>|resume <file>|fastrun <benchmark>|dot <benchmark>|json <benchmark>|diff <target>|fuzz [benchmark]|triage <benchmark>|shrink <benchmark>|serve|submit <benchmark>|jobs|watch <job-id>|cancel <job-id>|list [-v]|all} [-json] [-progress] [-model c11|sc|scatomics] [-reduce all|none|rf,symmetry,spinloop] [-cpuprofile file] [-memprofile file]")
+	fmt.Fprintln(w, "  explore/resume flags: -par N -max N -checkpoint file -checkpoint-every dur -verify (explore defaults to -reduce=all; resume adopts the checkpoint's model and reduction set)")
 	fmt.Fprintln(w, "  diff flags: -a model -b model -reduce set -par N (leg A: -a unreduced; leg B: -b under -reduce; litmus targets SB, MP, IRIW or any benchmark; exits 1 when same-model legs differ)")
 	fmt.Fprintln(w, "  fuzz/shrink flags: -seed N -count N -budget N -corpus file -weaken site -index N")
 	fmt.Fprintln(w, "  triage flags: -seed N -count N -budget N -fastruns N -shrink -corpus file -weaken site")
@@ -514,8 +510,6 @@ func (c *cli) dotOne(name string) int {
 	// feasible execution and stop shortly after. -model and -reduce shape
 	// which execution that is.
 	var dot string
-	spec := b.Spec()
-	spec.DisableCheckCache = c.nocache
 	cfg := c.opts().ExplorerConfig(b.Name)
 	cfg.MaxExecutions = 1000
 	cfg.StopAtFirst = true
@@ -526,7 +520,7 @@ func (c *cli) dotOne(name string) int {
 		}
 		return nil
 	}
-	core.Explore(spec, cfg, b.Progs(b.Orders())[0])
+	core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
 	fmt.Fprint(c.stdout, dot)
 	return 0
 }
@@ -540,8 +534,6 @@ func (c *cli) jsonOne(name string) int {
 		return unknownBenchmark(c.stderr, name)
 	}
 	var trace json.RawMessage
-	spec := b.Spec()
-	spec.DisableCheckCache = c.nocache
 	cfg := c.opts().ExplorerConfig(b.Name)
 	cfg.OnExecution = func(sys *checker.System) []*checker.Failure {
 		if trace == nil {
@@ -551,7 +543,7 @@ func (c *cli) jsonOne(name string) int {
 		}
 		return nil
 	}
-	res := core.Explore(spec, cfg, b.Progs(b.Orders())[0])
+	res := core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
 	out := struct {
 		Benchmark string          `json:"benchmark"`
 		Result    *checker.Result `json:"result"`
@@ -617,31 +609,13 @@ func interruptFrom(sig chan os.Signal, stop func()) (<-chan struct{}, func()) {
 	return intr, cleanup
 }
 
-// reduceField renders a reduction set for the checkpoint envelope: the
-// zero set maps to the absent field (omitempty), matching the back-compat
-// rule that absence means no reduction.
-func reduceField(r checker.ReduceSet) string {
-	if !r.Any() {
-		return ""
-	}
-	return r.String()
-}
-
 // checkpointWriter builds the Config.Checkpoint hook: every snapshot
 // (periodic and final) is wrapped in the benchmark-pinning envelope and
 // atomically written to path. Write errors go to stderr but don't stop
 // the exploration — the previous checkpoint on disk stays intact.
 func (c *cli) checkpointWriter(path, benchmark string) func(*checker.Checkpoint) {
 	return func(cp *checker.Checkpoint) {
-		cf := &harness.CheckpointFile{
-			Schema:    harness.CheckpointFileSchema,
-			Benchmark: benchmark,
-			Workers:   c.parallelism(),
-			Model:     string(c.model),
-			NoCache:   c.nocache,
-			Reduce:    reduceField(c.reduce),
-			State:     cp,
-		}
+		cf := &harness.CheckpointFile{Schema: harness.CheckpointFileSchema, Benchmark: benchmark, State: cp}
 		if err := harness.WriteCheckpointFile(path, cf); err != nil {
 			fmt.Fprintln(c.stderr, err)
 		}
@@ -704,8 +678,6 @@ func (c *cli) exploreCmd(name string) int {
 	}
 	opts := c.opts()
 	opts.Parallelism = c.parallelism()
-	spec := b.Spec()
-	spec.DisableCheckCache = c.nocache
 	cfg := opts.ExplorerConfig(b.Name)
 	cfg.MaxExecutions = c.maxExecs
 	if c.checkpointPath != "" {
@@ -719,46 +691,31 @@ func (c *cli) exploreCmd(name string) int {
 	intr, cleanup := interruptOnSignal()
 	defer cleanup()
 	cfg.Interrupt = intr
-	res := core.Explore(spec, cfg, b.Progs(b.Orders())[0])
+	res := core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
 	if c.checkpointPath != "" && !c.jsonOut {
 		fmt.Fprintf(c.stdout, "checkpoint written to %s\n", c.checkpointPath)
 	}
 	return c.printExploreResult(b.Name, res)
 }
 
-// resumeCmd continues an exploration from a checkpoint file. The
-// envelope's -nocache switch is adopted so the resumed half explores
-// under the exact configuration of the first half. With -verify the
-// result is additionally checked bit-identical against a fresh
-// one-worker exploration. Re-checkpointing goes back to the same
-// file unless -checkpoint names another.
+// resumeCmd continues an exploration from a checkpoint file under the
+// checkpoint's model and reduction set; a -model or -reduce that names
+// another is refused by cfg.Validate. With -verify the result is
+// additionally checked bit-identical against a fresh one-worker
+// exploration. Re-checkpointing goes back to the same file unless
+// -checkpoint names another.
 func (c *cli) resumeCmd(path string) int {
 	cf, err := harness.ReadCheckpointFile(path)
 	if err != nil {
 		fmt.Fprintln(c.stderr, err)
 		return 1
 	}
-	c.nocache = cf.NoCache
-	// The cache switch is adopted silently (it doesn't change the
-	// explored space), and so is the model when -model wasn't given. An
-	// explicit -model must match: a frontier is only valid under the
-	// model that produced it.
-	if c.modelSet {
-		if err := cf.ValidateModel(c.model); err != nil {
-			fmt.Fprintln(c.stderr, err)
-			return 1
-		}
+	if !c.modelSet {
+		c.model = cf.State.Model
 	}
-	c.model = cf.ModelID()
-	// The reduction set likewise shapes the frontier: adopt the
-	// envelope's, and refuse an explicit mismatch.
-	if c.reduceGiven {
-		if err := cf.ValidateReduce(c.reduce); err != nil {
-			fmt.Fprintln(c.stderr, err)
-			return 1
-		}
+	if !c.reduceGiven {
+		c.reduce = cf.State.Reduce
 	}
-	c.reduce = cf.ReduceSet()
 	if c.verify && c.reduce.RF {
 		fmt.Fprintln(c.stderr, "resume -verify cannot run with the rf reduction: checkpoints do not carry the rf seen-set, so the resumed half re-registers states and its execution/prune split legitimately differs from an uninterrupted run (explore with -reduce=none, or without rf, for round-trip verification)")
 		return 2
@@ -766,8 +723,6 @@ func (c *cli) resumeCmd(path string) int {
 	b := harness.BenchmarkByName(cf.Benchmark)
 	opts := c.opts()
 	opts.Parallelism = c.parallelism()
-	spec := b.Spec()
-	spec.DisableCheckCache = c.nocache
 	cfg := opts.ExplorerConfig(b.Name)
 	cfg.MaxExecutions = c.maxExecs
 	cfg.ResumeFrom = cf.State
@@ -784,7 +739,7 @@ func (c *cli) resumeCmd(path string) int {
 	intr, cleanup := interruptOnSignal()
 	defer cleanup()
 	cfg.Interrupt = intr
-	res := core.Explore(spec, cfg, b.Progs(b.Orders())[0])
+	res := core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
 	if code := c.printExploreResult(b.Name, res); code != 0 {
 		return code
 	}
@@ -802,11 +757,9 @@ func (c *cli) resumeCmd(path string) int {
 func (c *cli) verifyResumed(b *harness.Benchmark, resumed *checker.Result) int {
 	opts := c.opts()
 	opts.Parallelism = 0
-	spec := b.Spec()
-	spec.DisableCheckCache = c.nocache
 	cfg := opts.ExplorerConfig(b.Name)
 	cfg.MaxExecutions = c.maxExecs
-	seq := core.Explore(spec, cfg, b.Progs(b.Orders())[0])
+	seq := core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
 	switch {
 	case seq.Executions != resumed.Executions,
 		seq.Feasible != resumed.Feasible,

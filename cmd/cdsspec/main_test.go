@@ -171,41 +171,3 @@ func TestReportVerbs(t *testing.T) {
 		}
 	}
 }
-
-// snapshotStats decodes a fig7-only snapshot from a finished run.
-func snapshotStats(t *testing.T, out string) harness.Fig7Row {
-	t.Helper()
-	var snap harness.BenchSnapshot
-	if err := json.Unmarshal([]byte(out), &snap); err != nil {
-		t.Fatalf("output is not a snapshot: %v\n%s", err, out)
-	}
-	if len(snap.Fig7) != 1 {
-		t.Fatalf("expected one fig7 row: %+v", snap)
-	}
-	return snap.Fig7[0]
-}
-
-// TestNoCacheFlag: -nocache zeroes the spec-cache counters; without it
-// the same workload reports hits. Everything else about the run must
-// match (same executions, same histories).
-func TestNoCacheFlag(t *testing.T) {
-	var on, off, errOut strings.Builder
-	if code := run([]string{"run", "-json", "SPSC Queue"}, &on, &errOut); code != 0 {
-		t.Fatalf("run -json exited %d: %s", code, errOut.String())
-	}
-	if code := run([]string{"run", "-json", "-nocache", "SPSC Queue"}, &off, &errOut); code != 0 {
-		t.Fatalf("run -json -nocache exited %d: %s", code, errOut.String())
-	}
-	rOn := snapshotStats(t, on.String())
-	rOff := snapshotStats(t, off.String())
-	if rOn.Stats.SpecCacheHits == 0 || rOn.Stats.SpecCacheMisses == 0 {
-		t.Errorf("cached run reports no cache activity: %+v", rOn.Stats)
-	}
-	if rOff.Stats.SpecCacheHits != 0 || rOff.Stats.SpecCacheMisses != 0 || rOff.Stats.SpecCacheEntries != 0 {
-		t.Errorf("-nocache run reports cache activity: %+v", rOff.Stats)
-	}
-	if rOn.Executions != rOff.Executions || rOn.Stats.Histories != rOff.Stats.Histories {
-		t.Errorf("cache changed the exploration: on %d execs/%d histories, off %d/%d",
-			rOn.Executions, rOn.Stats.Histories, rOff.Executions, rOff.Stats.Histories)
-	}
-}

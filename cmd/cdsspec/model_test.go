@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checker"
+	"repro/internal/checker/model"
 	"repro/internal/harness"
 )
 
@@ -81,8 +83,8 @@ func TestModelDiffCLIErrors(t *testing.T) {
 
 // TestResumeModelMismatchCLI: a checkpoint explored under one model is
 // stamped with it, refuses an explicitly different -model on resume, and
-// resumes cleanly when the flag is omitted (the envelope's model is
-// adopted, like the opt switches).
+// resumes cleanly when the flag is omitted (the checkpoint's model is
+// adopted).
 func TestResumeModelMismatchCLI(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "cp.json")
 	var out, errOut strings.Builder
@@ -93,8 +95,8 @@ func TestResumeModelMismatchCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf.Model != "sc" {
-		t.Fatalf("envelope model = %q, want sc", cf.Model)
+	if cf.State.Model != model.SC {
+		t.Fatalf("checkpoint model = %q, want sc", cf.State.Model)
 	}
 
 	out.Reset()
@@ -113,5 +115,44 @@ func TestResumeModelMismatchCLI(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "exhausted") {
 		t.Errorf("adopted-model resume did not exhaust:\n%s", out.String())
+	}
+}
+
+// TestResumeReduceMismatchCLI: explore's default reduction set is stamped
+// into the checkpoint; a flagless resume adopts it, an explicit -reduce
+// that differs is refused naming both sets, and -verify is refused under
+// the rf reduction.
+func TestResumeReduceMismatchCLI(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "cp.json")
+	var out, errOut strings.Builder
+	if code := run([]string{"explore", "-max", "100", "-checkpoint", cp, "M&S Queue"}, &out, &errOut); code != 0 {
+		t.Fatalf("explore exited %d: %s", code, errOut.String())
+	}
+	cf, err := harness.ReadCheckpointFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cf.State.Reduce != checker.ReduceAll() {
+		t.Fatalf("checkpoint reduce = %v, want all", cf.State.Reduce)
+	}
+
+	errOut.Reset()
+	if code := run([]string{"resume", "-reduce=none", cp}, &out, &errOut); code == 0 {
+		t.Fatal("resume under a mismatched reduction set exited 0")
+	}
+	if msg := errOut.String(); !strings.Contains(msg, `"rf,symmetry,spinloop"`) || !strings.Contains(msg, `"none"`) {
+		t.Errorf("mismatch error should name both sets:\n%s", msg)
+	}
+	if code := run([]string{"resume", "-verify", cp}, &out, &errOut); code != 2 {
+		t.Errorf("resume -verify under rf exited %d, want 2", code)
+	}
+
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"resume", cp}, &out, &errOut); code != 0 {
+		t.Fatalf("flagless resume exited %d: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "exhausted") || !strings.Contains(out.String(), "rf classes") {
+		t.Errorf("adopted-reduction resume did not exhaust reduced:\n%s", out.String())
 	}
 }

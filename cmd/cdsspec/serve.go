@@ -102,7 +102,6 @@ func (c *cli) submitSpec(benchmark string) service.JobSpec {
 	switch spec.KindOrDefault() {
 	case service.KindExplore:
 		spec.CheckpointEvery = c.checkpointEvery
-		spec.NoCache = c.nocache
 	case service.KindFast:
 		spec.Seed = c.seed
 	case service.KindTriage:

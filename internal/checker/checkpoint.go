@@ -2,12 +2,14 @@ package checker
 
 import (
 	"fmt"
+	"strings"
 	"time"
+
+	"repro/internal/checker/model"
 )
 
 // CheckpointSchema identifies the checkpoint payload layout. The harness
-// wraps this payload in its own envelope (benchmark name, config flags)
-// under the same version; bump both together.
+// wraps this payload in its own envelope, which names the benchmark.
 const CheckpointSchema = "cdsspec-checkpoint/v1"
 
 // Checkpoint is a consistent snapshot of a work-stealing exploration: the
@@ -19,6 +21,13 @@ const CheckpointSchema = "cdsspec-checkpoint/v1"
 // Result after any resume chain is bit-identical to an uninterrupted run.
 type Checkpoint struct {
 	Schema string `json:"schema"`
+	// Model and Reduce are the identity of the explored space: the
+	// consistency model and reduction set the frontier was explored
+	// under, stamped by the engine. Config.Validate refuses a ResumeFrom
+	// whose identity differs from the Config's. Checkpoints written
+	// before the stamp omit both, which means c11 and no reduction.
+	Model  model.ID  `json:"model,omitempty"`
+	Reduce ReduceSet `json:"reduce"`
 	// Executions is the sum over done cells — informational, and the
 	// starting budget consumption for MaxExecutions accounting on resume.
 	Executions int `json:"executions"`
@@ -84,6 +93,9 @@ func (cp *Checkpoint) Validate() error {
 	if cp.Schema != CheckpointSchema {
 		return fmt.Errorf("checkpoint schema %q, want %q", cp.Schema, CheckpointSchema)
 	}
+	if !cp.Model.OrDefault().Valid() {
+		return fmt.Errorf("checkpoint names unknown memory model %q (valid: %s)", cp.Model, strings.Join(model.Names(), ", "))
+	}
 	if len(cp.Cells) == 0 {
 		return fmt.Errorf("checkpoint has no cells")
 	}
@@ -144,6 +156,8 @@ func kindByte(name string) (byte, error) {
 func (e *wsEngine) checkpoint(baseElapsed time.Duration) *Checkpoint {
 	cp := &Checkpoint{
 		Schema:      CheckpointSchema,
+		Model:       e.c.Model.OrDefault(),
+		Reduce:      e.c.Reduce,
 		Steals:      int(e.steals.Load()),
 		WorkerBusy:  time.Duration(e.busy.Load()),
 		Elapsed:     baseElapsed + time.Since(e.startTime),

@@ -10,9 +10,8 @@ import (
 )
 
 // TestConfigValidate pins the rejection of configurations that earlier
-// versions silently mishandled: a negative StoreBound was clamped up to 2
-// as if it were a small bound, and FastMode quietly ignored checkpoint
-// and resume settings instead of refusing them.
+// versions silently mishandled: FastMode quietly ignored checkpoint and
+// resume settings instead of refusing them.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -24,8 +23,7 @@ func TestConfigValidate(t *testing.T) {
 		{"model-sc", Config{Model: model.SC}, ""},
 		{"model-scatomics", Config{Model: model.SCAtomics}, ""},
 		{"model-unknown", Config{Model: "tso"}, "unknown memory model"},
-		{"negative-store-bound", Config{StoreBound: -1}, "StoreBound"},
-		{"store-bound-one-clamps", Config{StoreBound: 1}, ""}, // documented min-clamp, not an error
+		{"store-bound-one-clamps", Config{storeBound: 1}, ""}, // documented min-clamp, not an error
 		{"fastmode-plain", Config{FastMode: true}, ""},
 		{"fastmode-checkpoint", Config{FastMode: true, Checkpoint: func(*Checkpoint) {}}, "cannot checkpoint"},
 		{"fastmode-checkpoint-every", Config{FastMode: true, CheckpointEvery: 1}, "cannot checkpoint"},

@@ -62,8 +62,8 @@ type Config struct {
 	// execution sampling: each run picks one random schedule and one
 	// plausible reads-from assignment, biased toward recent stores, with
 	// clock-vector race detection for plain and atomic accesses — in O(live
-	// state) memory (no action trace, per-location store buffers bounded by
-	// StoreBound). Built-in checks (races, mixed races, uninitialized
+	// state) memory (no action trace, per-location store buffers of 64
+	// stores; see maybeEvict). Built-in checks (races, mixed races, uninitialized
 	// loads, deadlocks) still fire; the CDSSpec layer is unsupported
 	// (core.Explore rejects the combination). MaxExecutions is the run
 	// budget (default 1000 when 0); Exhausted is never set — sampling
@@ -81,12 +81,6 @@ type Config struct {
 	// Parallelism > 1 the cut point is nondeterministic, unlike the
 	// run-budget path.
 	TimeBudget time.Duration
-	// StoreBound bounds each location's retained store-buffer window in
-	// FastMode (default 64, minimum 2). When a buffer overflows, the older
-	// half is evicted: evicted stores are treated as happened-before
-	// everything and can no longer be read stale — the plausibility
-	// approximation that keeps memory constant.
-	StoreBound int
 	// Reduce selects the execution-equivalence reductions (reduce.go):
 	// rf-class subtree pruning over a shared seen-set, thread-symmetry
 	// canonicalization, and spinloop/await bounding. Zero value = no
@@ -134,6 +128,12 @@ type Config struct {
 	// records are compacted (default 64; tests lower it to force
 	// compaction on small programs).
 	compactThreshold int
+	// storeBound bounds each location's retained store-buffer window in
+	// FastMode (default 64, minimum 2; tests lower it to force eviction).
+	// When a buffer overflows, the older half is evicted: evicted stores
+	// are treated as happened-before everything and can no longer be read
+	// stale — the plausibility approximation that keeps memory constant.
+	storeBound int
 
 	// OnRunStart runs at the start of every execution, before the root
 	// thread. It typically installs the spec monitor in sys.Aux.
@@ -176,8 +176,10 @@ type Config struct {
 	// ResumeFrom continues a previous exploration from its checkpoint:
 	// completed regions are folded as-is and only the outstanding
 	// frontier is explored, at any Parallelism. The final Result is
-	// bit-identical (timings aside) to an uninterrupted run. Explore
-	// panics if the checkpoint fails Validate.
+	// bit-identical (timings aside) to an uninterrupted run. The frontier
+	// is only valid under the Model and Reduce set it was explored under
+	// (Checkpoint.Model/Reduce): Validate refuses any other, and Explore
+	// panics if the checkpoint fails Checkpoint.Validate.
 	ResumeFrom *Checkpoint
 	// Interrupt, when non-nil, makes the engine stop gracefully as soon
 	// as the channel is closed (or receives): workers finish their
@@ -207,16 +209,14 @@ type Config struct {
 // harness — should Validate first.
 //
 // The checks reject combinations that earlier versions silently ignored
-// or mishandled: a negative StoreBound fell through the minimum clamp to
-// 2 as if it were a small bound, and FastMode quietly dropped
-// Checkpoint/ResumeFrom instead of refusing them (FastMode samples
-// independent runs — there is no frontier to checkpoint).
+// or mishandled: FastMode quietly dropped Checkpoint/ResumeFrom instead
+// of refusing them (FastMode samples independent runs — there is no
+// frontier to checkpoint), and a ResumeFrom explored under another model
+// or reduction set was continued as if it were this Config's, returning
+// a count that belongs to neither space.
 func (c *Config) Validate() error {
 	if !c.Model.OrDefault().Valid() {
 		return fmt.Errorf("checker: unknown memory model %q (valid: %s)", c.Model, strings.Join(model.Names(), ", "))
-	}
-	if c.StoreBound < 0 {
-		return fmt.Errorf("checker: StoreBound must be >= 0, got %d", c.StoreBound)
 	}
 	if c.FastMode {
 		switch {
@@ -237,6 +237,18 @@ func (c *Config) Validate() error {
 	}
 	if c.CheckpointEvery > 0 && c.Checkpoint == nil {
 		return fmt.Errorf("checker: CheckpointEvery %v has no Checkpoint sink to deliver snapshots to — set Config.Checkpoint (0 with a sink means final snapshot only)", c.CheckpointEvery)
+	}
+	if cp := c.ResumeFrom; cp != nil {
+		// The model and the reduction set shape the explored space: a
+		// reduced frontier has already cut subtrees an unreduced run would
+		// visit, and a model's frontier holds branches another model does
+		// not have.
+		if got, want := cp.Model.OrDefault(), c.Model.OrDefault(); got != want {
+			return fmt.Errorf("checker: checkpoint was explored under memory model %q but the resume requested %q: a frontier is only valid under the model that produced it (re-explore from scratch to switch models)", got, want)
+		}
+		if cp.Reduce != c.Reduce {
+			return fmt.Errorf("checker: checkpoint was explored with reduction %q but the resume requested %q: a frontier is only valid under the reduction set that produced it (re-explore from scratch to change reductions)", cp.Reduce, c.Reduce)
+		}
 	}
 	return nil
 }
@@ -264,11 +276,11 @@ func (c *Config) withDefaults() *Config {
 	if out.compactThreshold == 0 {
 		out.compactThreshold = 64
 	}
-	if out.StoreBound == 0 {
-		out.StoreBound = 64
+	if out.storeBound == 0 {
+		out.storeBound = 64
 	}
-	if out.StoreBound < 2 {
-		out.StoreBound = 2 // the newest store must survive eviction
+	if out.storeBound < 2 {
+		out.storeBound = 2 // the newest store must survive eviction
 	}
 	out.backend = backendFor(out.Model)
 	if out.Reduce.RF {
@@ -698,7 +710,7 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 	}
 	c := cfg.withDefaults()
 	if c.Progress != nil {
-		c.progress = newProgressTracker(c.Progress, c.ProgressInterval, c.MaxExecutions)
+		c.progress = newProgressTracker(c.Progress, c.ProgressInterval, c.MaxExecutions, c.ResumeFrom)
 		if c.rfSeen != nil {
 			c.progress.attachClasses(&c.rfSeen.classes)
 		}

@@ -12,7 +12,7 @@ import (
 // results at any Parallelism (workers own contiguous index blocks merged
 // in block order). The per-run state the
 // System retains is bounded: per-location store buffers hold at most
-// StoreBound stores (system.go maybeEvict), the action trace is not
+// storeBound stores (system.go maybeEvict), the action trace is not
 // recorded (system.go recordFast), and actions/clocks recycle through
 // free lists between runs (system.go sweepFast, wired via the execution
 // pool).

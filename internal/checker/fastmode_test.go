@@ -92,7 +92,7 @@ func TestFastModeParallelBitIdentical(t *testing.T) {
 // bit-identical results — the free-list recycling and between-run sweep
 // must not leak state into the next run.
 func TestFastModePoolingInvisible(t *testing.T) {
-	base := Config{FastMode: true, MaxExecutions: 60, Seed: 13, StoreBound: 2}
+	base := Config{FastMode: true, MaxExecutions: 60, Seed: 13, storeBound: 2}
 	pooled := Explore(base, manyExecProgram)
 	unpooledCfg := base
 	unpooledCfg.disablePooling = true
@@ -203,11 +203,11 @@ func TestFastModeSynchronizedClean(t *testing.T) {
 // --- Store-buffer bounding --------------------------------------------
 
 // TestFastModeEvictions: a long store chain over one location overflows
-// a small StoreBound, evictions happen, and the program still checks
+// a small storeBound, evictions happen, and the program still checks
 // clean — reads served from the bounded window (or the evicted-value
 // fallback) stay plausible.
 func TestFastModeEvictions(t *testing.T) {
-	res := Explore(Config{FastMode: true, MaxExecutions: 20, Seed: 8, StoreBound: 4, MaxSteps: 5000}, func(root *Thread) {
+	res := Explore(Config{FastMode: true, MaxExecutions: 20, Seed: 8, storeBound: 4, MaxSteps: 5000}, func(root *Thread) {
 		x := root.NewAtomicInit("x", 0)
 		a := root.Spawn("a", func(tt *Thread) {
 			for i := 0; i < 200; i++ {
@@ -226,7 +226,7 @@ func TestFastModeEvictions(t *testing.T) {
 		t.Errorf("bounded buffers broke a clean program: %v", res.FirstFailure())
 	}
 	if res.Stats.StoreBufferEvictions == 0 {
-		t.Error("expected store-buffer evictions with StoreBound=4 and 200 stores")
+		t.Error("expected store-buffer evictions with storeBound=4 and 200 stores")
 	}
 	if res.Executions != 20 {
 		t.Errorf("ran %d executions, want 20", res.Executions)
@@ -238,7 +238,7 @@ func TestFastModeEvictions(t *testing.T) {
 // reads the previous one, never a stale or evicted value).
 func TestFastModeEvictionRMWChain(t *testing.T) {
 	const perThread = 100
-	res := Explore(Config{FastMode: true, MaxExecutions: 10, Seed: 9, StoreBound: 4, MaxSteps: 5000}, func(root *Thread) {
+	res := Explore(Config{FastMode: true, MaxExecutions: 10, Seed: 9, storeBound: 4, MaxSteps: 5000}, func(root *Thread) {
 		c := root.NewAtomicInit("c", 0)
 		a := root.Spawn("a", func(tt *Thread) {
 			for i := 0; i < perThread; i++ {

@@ -67,7 +67,7 @@ type location struct {
 	// stores holds the tail of the modification order starting at
 	// absolute mo index moBase: stores[i] is mo index moBase+i. Exhaustive
 	// exploration never evicts, so moBase stays 0 and stores is the whole
-	// modification order; fast mode bounds the window (Config.StoreBound)
+	// modification order; fast mode bounds the window (Config.storeBound)
 	// and evicts the oldest half when it overflows, keeping memory O(live
 	// state) on programs with millions of stores.
 	stores []storeRec

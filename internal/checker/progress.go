@@ -36,7 +36,8 @@ type Progress struct {
 	SymmetryPrunes int
 	SpinloopBounds int
 	RFClasses      int
-	// Elapsed is the wall clock since the exploration started.
+	// Elapsed is the wall clock since the exploration started, plus, for
+	// a resumed run, the checkpoint's elapsed base (as in Result.Elapsed).
 	Elapsed time.Duration
 	// ExecsPerSec is the average execution rate so far.
 	ExecsPerSec float64
@@ -46,7 +47,8 @@ type Progress struct {
 	ETA time.Duration
 	// Final marks the closing snapshot: its counts equal the returned
 	// Result exactly, and it is always delivered, even for explorations
-	// shorter than one interval.
+	// shorter than one interval. A resumed run counts from the
+	// checkpoint's completed work, as its Result does.
 	Final bool
 }
 
@@ -92,13 +94,31 @@ func (t *progressTracker) attachClasses(classes *atomic.Int64) {
 	t.classes = classes
 }
 
-func newProgressTracker(fn func(Progress), interval time.Duration, maxExecs int) *progressTracker {
+// newProgressTracker starts the tracker. A resumed run passes its
+// checkpoint: the counts start from its completed cells and the clock
+// from its elapsed base.
+func newProgressTracker(fn func(Progress), interval time.Duration, maxExecs int, resumed *Checkpoint) *progressTracker {
 	t := &progressTracker{
 		fn:       fn,
 		maxExecs: maxExecs,
 		start:    time.Now(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
+	}
+	if resumed != nil {
+		t.start = t.start.Add(-resumed.Elapsed)
+		for _, c := range resumed.Cells {
+			if r := c.Result; r != nil {
+				t.execs.Add(int64(r.Executions))
+				t.feasible.Add(int64(r.Feasible))
+				t.pruned.Add(int64(r.Pruned))
+				t.fails.Add(int64(r.FailureCount))
+				t.cacheHits.Add(int64(r.Stats.SpecCacheHits))
+				t.rfPrunes.Add(int64(r.Stats.RFEquivPrunes))
+				t.symPrunes.Add(int64(r.Stats.SymmetryPrunes))
+				t.spinBounds.Add(int64(r.Stats.SpinloopBounds))
+			}
+		}
 	}
 	go t.loop(interval)
 	return t

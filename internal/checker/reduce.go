@@ -102,6 +102,21 @@ func (r ReduceSet) String() string {
 	return strings.Join(parts, ",")
 }
 
+// MarshalText renders the set in its flag form (String), so a
+// checkpoint records it as a string.
+func (r ReduceSet) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText parses the flag form (ParseReduce), rejecting unknown
+// reduction names.
+func (r *ReduceSet) UnmarshalText(b []byte) error {
+	set, err := ParseReduce(string(b))
+	if err != nil {
+		return err
+	}
+	*r = set
+	return nil
+}
+
 // AuxFingerprinter is implemented by System.Aux owners (the spec
 // monitor) that carry spec-layer state the reduction fingerprint must
 // respect: the monitor's call record is order-sensitive (call IDs are

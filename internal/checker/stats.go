@@ -89,7 +89,7 @@ type Stats struct {
 	// SpecCacheEntries counts distinct fingerprints inserted (summed over
 	// shards). Hits + Misses equals the feasible executions that reached
 	// the spec checker with caching enabled, and all three stay zero when
-	// the cache is disabled (Spec.DisableCheckCache).
+	// the check runs uncached.
 	//
 	// One caveat: checkpoints serialize the decision frontier, not the
 	// cache contents, so a resumed run starts its caches cold and a

@@ -160,7 +160,7 @@ func TestProgressFinalSnapshot(t *testing.T) {
 // (interval long enough that the ticker never fires).
 func TestProgressTrackerETA(t *testing.T) {
 	var finals []Progress
-	tr := newProgressTracker(func(p Progress) { finals = append(finals, p) }, time.Hour, 100)
+	tr := newProgressTracker(func(p Progress) { finals = append(finals, p) }, time.Hour, 100, nil)
 	for i := 0; i < 10; i++ {
 		tr.observe(i%2 == 0, i%2 != 0, 0, 0, false, 0, 0)
 	}
@@ -178,7 +178,7 @@ func TestProgressTrackerETA(t *testing.T) {
 		t.Fatalf("close must deliver exactly one final snapshot: %+v", finals)
 	}
 	// At the cap there is nothing left to estimate.
-	tr2 := newProgressTracker(func(Progress) {}, time.Hour, 5)
+	tr2 := newProgressTracker(func(Progress) {}, time.Hour, 5, nil)
 	for i := 0; i < 5; i++ {
 		tr2.observe(true, false, 0, 0, false, 0, 0)
 	}

@@ -644,7 +644,7 @@ func (s *System) addLoad(t *Thread, loc *location, idx int) {
 		if idx > loc.maxLoadRF {
 			loc.maxLoadRF = idx
 		}
-		if cap := 2 * s.cfg.StoreBound; len(loc.loads) > cap {
+		if cap := 2 * s.cfg.storeBound; len(loc.loads) > cap {
 			keep := cap / 2
 			n := copy(loc.loads, loc.loads[len(loc.loads)-keep:])
 			loc.loads = loc.loads[:n]
@@ -724,7 +724,7 @@ func (s *System) maybeCompactLoads(loc *location) {
 }
 
 // maybeEvict bounds a location's store buffer in fast mode: when the
-// window exceeds Config.StoreBound, the older half is evicted and its
+// window exceeds Config.storeBound, the older half is evicted and its
 // actions/clocks recycled. The caller appended a store (and bumped
 // storeEpoch) immediately before, so every floor-cache entry already
 // misses on its storeEpoch key — no invalidation pass is needed. Evicted
@@ -732,7 +732,7 @@ func (s *System) maybeCompactLoads(loc *location) {
 // starts the floor at moBase); the newest evicted value is kept for
 // plain loads whose visibility fell below the window.
 func (s *System) maybeEvict(loc *location) {
-	bound := s.cfg.StoreBound
+	bound := s.cfg.storeBound
 	if !s.cfg.FastMode || bound < 2 || len(loc.stores) <= bound {
 		return
 	}

@@ -94,11 +94,11 @@ func TestExploreSpecCacheHits(t *testing.T) {
 	}
 }
 
-// TestExploreCacheDisabledZeroCounters: DisableCheckCache really turns
+// TestExploreCacheDisabledZeroCounters: disableCheckCache really turns
 // the cache off.
 func TestExploreCacheDisabledZeroCounters(t *testing.T) {
 	spec := queueSpec()
-	spec.DisableCheckCache = true
+	spec.disableCheckCache = true
 	res := Explore(spec, checker.Config{}, cacheProg)
 	s := res.Stats
 	if s.SpecCacheHits != 0 || s.SpecCacheMisses != 0 || s.SpecCacheEntries != 0 {
@@ -117,7 +117,7 @@ func TestExploreCacheTransparency(t *testing.T) {
 		fn   func(*checker.Thread)
 	}{{"clean", cacheProg}, {"buggy", buggyCacheProg}} {
 		on := Explore(queueSpec(), checker.Config{MaxFailures: 1 << 20}, prog.fn)
-		off := Explore(func() *Spec { s := queueSpec(); s.DisableCheckCache = true; return s }(),
+		off := Explore(func() *Spec { s := queueSpec(); s.disableCheckCache = true; return s }(),
 			checker.Config{MaxFailures: 1 << 20}, prog.fn)
 		if on.Executions != off.Executions || on.Feasible != off.Feasible ||
 			on.Pruned != off.Pruned || on.FailureCount != off.FailureCount {
@@ -478,7 +478,7 @@ func BenchmarkSpecCacheOn(b *testing.B) {
 
 func BenchmarkSpecCacheOff(b *testing.B) {
 	spec := queueSpec()
-	spec.DisableCheckCache = true
+	spec.disableCheckCache = true
 	for i := 0; i < b.N; i++ {
 		Explore(spec, checker.Config{}, cacheProg)
 	}

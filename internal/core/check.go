@@ -481,10 +481,9 @@ func specFail(format string, args ...any) *checker.Failure {
 
 // Explore runs the model checker over prog with the spec checked after
 // every feasible execution — the whole CDSSpec pipeline in one call. The
-// per-execution spec check is memoized per exploration shard unless
-// Spec.DisableCheckCache is set (or the caller installed its own
-// Config.NewScratch hook, whose Scratch value the cache would collide
-// with).
+// per-execution spec check is memoized per exploration shard unless the
+// caller installed its own Config.NewScratch hook, whose Scratch value
+// the cache would collide with.
 func Explore(spec *Spec, cfg checker.Config, prog func(*checker.Thread)) *checker.Result {
 	if cfg.FastMode {
 		// Fast mode retains no action trace and no per-action clocks, so
@@ -501,7 +500,7 @@ func Explore(spec *Spec, cfg checker.Config, prog func(*checker.Thread)) *checke
 			userStart(sys)
 		}
 	}
-	if !spec.DisableCheckCache && cfg.NewScratch == nil {
+	if !spec.disableCheckCache && cfg.NewScratch == nil {
 		cfg.NewScratch = func() any { return newCheckCache() }
 	}
 	userExec := cfg.OnExecution

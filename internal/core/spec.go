@@ -79,12 +79,12 @@ type Spec struct {
 	SampleHistories int
 	// SampleSeed seeds the history sampler (deterministic by default).
 	SampleSeed int64
-	// DisableCheckCache turns off the per-shard memoization of spec-check
-	// results in Explore (see checkCache). Checking is then re-run for
-	// every feasible execution — useful for ablation benchmarks and for
-	// isolating suspected cache bugs; results must be identical either
-	// way.
-	DisableCheckCache bool
+	// disableCheckCache turns off the per-shard memoization of spec-check
+	// results in Explore (see checkCache), re-running the check for every
+	// feasible execution. It is the reference the cache-transparency
+	// tests and BenchmarkSpecCacheOff compare against; results must be
+	// identical either way.
+	disableCheckCache bool
 }
 
 func (s *Spec) historyCap() int {

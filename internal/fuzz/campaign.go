@@ -71,15 +71,11 @@ type CampaignConfig struct {
 	// clone injects a seeded bug for the campaign to find. nil means the
 	// correct defaults.
 	Orders *memmodel.OrderTable
-	// DisableSpecCache disables the per-shard spec-check memoization.
-	DisableSpecCache bool
 	// Progress, when set, receives each program's periodic exploration
 	// snapshots (the checker.Progress reuse), labeled with the program's
 	// batch index. Programs run concurrently, so it must be safe for
 	// concurrent use.
 	Progress func(programIndex int, p checker.Progress)
-	// ProgressInterval is the snapshot period (default 1s).
-	ProgressInterval time.Duration
 }
 
 func (c CampaignConfig) withDefaults() CampaignConfig {
@@ -132,15 +128,10 @@ func (t *Target) Check(p *Program, ord *memmodel.OrderTable, cfg CampaignConfig)
 	if err != nil {
 		return nil, err
 	}
-	spec := t.Spec()
-	if cfg.DisableSpecCache {
-		spec.DisableCheckCache = true
-	}
 	ccfg := checker.Config{
-		MaxExecutions:    cfg.Budget,
-		MaxSteps:         stepBudget(p, cfg.MaxSteps),
-		StopAtFirst:      true,
-		ProgressInterval: cfg.ProgressInterval,
+		MaxExecutions: cfg.Budget,
+		MaxSteps:      stepBudget(p, cfg.MaxSteps),
+		StopAtFirst:   true,
 	}
 	if cfg.Progress != nil {
 		idx := p.Index
@@ -152,7 +143,7 @@ func (t *Target) Check(p *Program, ord *memmodel.OrderTable, cfg CampaignConfig)
 	// mid-execution; Fingerprint handles the partial record.
 	var mon *core.Monitor
 	ccfg.OnRunStart = func(sys *checker.System) { mon = core.FromSys(sys) }
-	res := core.Explore(spec, ccfg, prog)
+	res := core.Explore(t.Spec(), ccfg, prog)
 	v := &Verdict{
 		Program:    p,
 		Executions: res.Executions,

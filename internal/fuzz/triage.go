@@ -27,9 +27,6 @@ type TriageConfig struct {
 	Count int
 	// FastRuns is the fast-mode run budget per program (default 200).
 	FastRuns int
-	// StoreBound overrides the screen's per-location store-buffer bound
-	// (0 = checker default).
-	StoreBound int
 	// ConfirmBudget bounds the exhaustive executions spent confirming one
 	// flagged program (0 = exhaustive).
 	ConfirmBudget int
@@ -133,7 +130,6 @@ func screenOne(t *Target, p *Program, cfg TriageConfig) (*checker.Failure, int, 
 		Seed:          int64(cfg.Seed) + int64(p.Index),
 		MaxExecutions: cfg.FastRuns,
 		MaxSteps:      stepBudget(p, cfg.MaxSteps),
-		StoreBound:    cfg.StoreBound,
 		StopAtFirst:   true,
 		Interrupt:     cfg.Interrupt,
 	}, prog)

@@ -11,18 +11,21 @@ import (
 )
 
 // This file wraps the checker's exploration checkpoint in an on-disk
-// envelope. The checker's Checkpoint serializes only the decision
-// frontier — it has no idea which benchmark it belongs to — so the
-// envelope pins the benchmark name and the spec-affecting switches, and
-// Read refuses to resume a checkpoint under a configuration that would
-// change the explored space (resuming a -nocache checkpoint with the
-// cache on would, for instance, break the spec_cache_* counters' bit-
-// identity guarantee).
+// envelope. The checker's Checkpoint serializes the decision frontier and
+// the model and reduction set it was explored under, but not which
+// program it explored, so the envelope pins the benchmark name.
 
 // CheckpointFileSchema identifies the on-disk envelope layout. The inner
 // state carries the checker's own schema (checker.CheckpointSchema) and
-// is validated separately.
-const CheckpointFileSchema = "cdsspec-checkpoint-file/v1"
+// is validated separately. v2 moved the model and reduction set from the
+// envelope into the state, so a reader that predates v2 refuses the file
+// instead of resuming it under the wrong identity.
+const CheckpointFileSchema = "cdsspec-checkpoint-file/v2"
+
+// checkpointFileSchemaV1 is the envelope written before v2. It recorded
+// the model and reduction set beside the state, and also "nocache",
+// "workers" and "nokernelopts" fields, which no longer affect a resume.
+const checkpointFileSchemaV1 = "cdsspec-checkpoint-file/v1"
 
 // ResumeComparableStats normalizes a Stats record for comparison across
 // a checkpoint/resume boundary: timings and scheduler telemetry are
@@ -48,76 +51,9 @@ type CheckpointFile struct {
 	// rebuilds the program from the registry rather than trusting the
 	// file.
 	Benchmark string `json:"benchmark"`
-	// Workers records the parallelism of the run that wrote the file —
-	// informational only, a resume may use any worker count and still
-	// produce the identical Result.
-	Workers int `json:"workers,omitempty"`
-	// Model names the consistency model the frontier was explored under.
-	// Unlike the spec-cache switch it changes the explored space itself,
-	// so a resume under a different model would silently mix incompatible
-	// explorations — ValidateModel refuses it. Files written before model
-	// identity existed omit the field; absence means c11 (the only model
-	// that existed when v1 envelopes were introduced).
-	Model string `json:"model,omitempty"`
-	// NoCache records the spec-cache switch. It doesn't change the
-	// explored space's Results, but it changes the spec_cache_* counters,
-	// so a resume adopts it. Envelopes written by earlier versions may
-	// also carry a "nokernelopts" field; it selected slow paths with
-	// identical results, and the decoder ignores it.
-	NoCache bool `json:"nocache,omitempty"`
-	// Reduce records the execution-equivalence reduction set the frontier
-	// was explored under (checker.ReduceSet canonical string). Like Model
-	// it shapes the explored space — a reduced frontier has already pruned
-	// subtrees an unreduced resume would expect to visit — so a resume
-	// must match (ValidateReduce). Files written before the reduction
-	// layer existed omit the field; absence means no reduction.
-	Reduce string `json:"reduce,omitempty"`
-	// State is the checker's frontier snapshot.
+	// State is the checker's frontier snapshot, including the model and
+	// reduction set a resume must match.
 	State *checker.Checkpoint `json:"state"`
-}
-
-// ModelID resolves the envelope's model with v1 back-compat: an absent
-// field means the checkpoint predates model identity and was necessarily
-// explored under c11.
-func (cf *CheckpointFile) ModelID() model.ID {
-	return model.ID(cf.Model).OrDefault()
-}
-
-// ValidateModel checks that a resume requested under the given model can
-// legally continue this checkpoint's frontier. It returns a nil error
-// only when the models agree; the error spells out both sides, since the
-// usual cause is an absent or mistyped -model flag.
-func (cf *CheckpointFile) ValidateModel(requested model.ID) error {
-	if requested.OrDefault() != cf.ModelID() {
-		return fmt.Errorf("checkpoint was explored under memory model %q but resume requested %q: a frontier is only valid under the model that produced it (re-explore from scratch to switch models)",
-			cf.ModelID(), requested.OrDefault())
-	}
-	return nil
-}
-
-// ReduceSet resolves the envelope's reduction set with back-compat: an
-// absent field means the checkpoint predates the reduction layer and was
-// necessarily explored unreduced (ParseReduce maps "" to the zero set).
-func (cf *CheckpointFile) ReduceSet() checker.ReduceSet {
-	r, err := checker.ParseReduce(cf.Reduce)
-	if err != nil {
-		// ReadCheckpointFile validates the field; an invalid value can only
-		// reach here through a hand-built envelope.
-		return checker.ReduceSet{}
-	}
-	return r
-}
-
-// ValidateReduce checks that a resume requested under the given reduction
-// set can legally continue this checkpoint's frontier. Like the model, the
-// reduction shapes the explored space: a reduced frontier has already cut
-// subtrees an unreduced continuation would need to visit, and vice versa.
-func (cf *CheckpointFile) ValidateReduce(requested checker.ReduceSet) error {
-	if requested != cf.ReduceSet() {
-		return fmt.Errorf("checkpoint was explored with reduction %q but resume requested %q: a frontier is only valid under the reduction set that produced it (re-explore from scratch to change reductions)",
-			cf.ReduceSet(), requested)
-	}
-	return nil
 }
 
 // WriteCheckpointFile atomically and durably writes the envelope to
@@ -180,7 +116,9 @@ func SyncDir(dir string) error {
 
 // ReadCheckpointFile reads and fully validates a checkpoint envelope:
 // the envelope schema, the presence and internal consistency of the
-// inner state, and that the benchmark still exists in the registry.
+// inner state (a model or reduction it names must exist), and that the
+// benchmark still exists in the registry. A v1 envelope is returned as
+// v2, its model and reduction set moved into the state.
 func ReadCheckpointFile(path string) (*CheckpointFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -190,7 +128,23 @@ func ReadCheckpointFile(path string) (*CheckpointFile, error) {
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return nil, fmt.Errorf("decoding checkpoint %s: %w", path, err)
 	}
-	if cf.Schema != CheckpointFileSchema {
+	switch cf.Schema {
+	case CheckpointFileSchema:
+	case checkpointFileSchemaV1:
+		// An absent model means c11 and an absent reduce no reduction,
+		// the same defaults the state applies.
+		var v1 struct {
+			Model  model.ID          `json:"model"`
+			Reduce checker.ReduceSet `json:"reduce"`
+		}
+		if err := json.Unmarshal(data, &v1); err != nil {
+			return nil, fmt.Errorf("decoding checkpoint %s: %w", path, err)
+		}
+		if cf.State != nil {
+			cf.State.Model, cf.State.Reduce = v1.Model, v1.Reduce
+		}
+		cf.Schema = CheckpointFileSchema
+	default:
 		return nil, fmt.Errorf("%s: unsupported checkpoint schema %q (want %q)",
 			path, cf.Schema, CheckpointFileSchema)
 	}
@@ -202,12 +156,6 @@ func ReadCheckpointFile(path string) (*CheckpointFile, error) {
 	}
 	if BenchmarkByName(cf.Benchmark) == nil {
 		return nil, fmt.Errorf("%s: unknown benchmark %q", path, cf.Benchmark)
-	}
-	if _, err := model.Parse(cf.Model); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := checker.ParseReduce(cf.Reduce); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &cf, nil
 }

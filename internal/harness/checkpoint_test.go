@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -118,7 +117,7 @@ func TestWorkStealDeterminismAcrossResume(t *testing.T) {
 			// does.
 			path := filepath.Join(dir, "cp.json")
 			if err := WriteCheckpointFile(path, &CheckpointFile{
-				Schema: CheckpointFileSchema, Benchmark: name, Workers: 4, State: cp,
+				Schema: CheckpointFileSchema, Benchmark: name, State: cp,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -149,15 +148,7 @@ func TestCheckpointNoKernelOptsBackCompat(t *testing.T) {
 	if cp == nil || cp.Complete() {
 		t.Fatalf("bad cut: checkpoint %v", cp)
 	}
-	state, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cp.json")
-	envelope := `{"schema":"` + CheckpointFileSchema + `","benchmark":"RCU","workers":1,"nokernelopts":true,"state":` + string(state) + `}`
-	if err := os.WriteFile(path, []byte(envelope), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeFile(t, t.TempDir(), "cp.json", v1Envelope(t, "RCU", cp, `"workers":1,"nokernelopts":true,`))
 	cf, err := ReadCheckpointFile(path)
 	if err != nil {
 		t.Fatalf("envelope with nokernelopts rejected: %v", err)
@@ -167,69 +158,45 @@ func TestCheckpointNoKernelOptsBackCompat(t *testing.T) {
 }
 
 // TestCheckpointFileValidation: the envelope reader rejects missing
-// files, foreign schemas, absent state, and unknown benchmarks.
+// files, foreign schemas, absent state, unknown benchmarks and unknown
+// reductions, and reads a v1 envelope's reduction set into the state.
+// Whether a resume may continue the state is the checker's call
+// (TestCheckpointReduceIdentity).
 func TestCheckpointFileValidation(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := ReadCheckpointFile(filepath.Join(dir, "absent.json")); err == nil {
 		t.Error("missing file accepted")
 	}
-	write := func(name, content string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	state := `{"schema":"` + checker.CheckpointSchema + `","cells":[{"pending":true}]}`
+	v1 := `{"schema":"` + checkpointFileSchemaV1 + `","benchmark":"RCU",`
 	cases := map[string]string{
-		"garbage.json":  `{`,
-		"schema.json":   `{"schema":"cdsspec-checkpoint-file/v9","benchmark":"RCU","state":` + state + `}`,
-		"nostate.json":  `{"schema":"` + CheckpointFileSchema + `","benchmark":"RCU"}`,
-		"badstate.json": `{"schema":"` + CheckpointFileSchema + `","benchmark":"RCU","state":{"schema":"nope"}}`,
-		"nobench.json":  `{"schema":"` + CheckpointFileSchema + `","benchmark":"No Such Structure","state":` + state + `}`,
+		"garbage.json":     `{`,
+		"schema.json":      `{"schema":"cdsspec-checkpoint-file/v9","benchmark":"RCU","state":` + state + `}`,
+		"nostate.json":     `{"schema":"` + CheckpointFileSchema + `","benchmark":"RCU"}`,
+		"badstate.json":    `{"schema":"` + CheckpointFileSchema + `","benchmark":"RCU","state":{"schema":"nope"}}`,
+		"nobench.json":     `{"schema":"` + CheckpointFileSchema + `","benchmark":"No Such Structure","state":` + state + `}`,
+		"badreduce.json":   v1 + `"reduce":"bogus","state":` + state + `}`,
+		"badreducev2.json": `{"schema":"` + CheckpointFileSchema + `","benchmark":"RCU","state":{"schema":"` + checker.CheckpointSchema + `","reduce":"bogus","cells":[{"pending":true}]}}`,
 	}
 	for name, content := range cases {
-		if _, err := ReadCheckpointFile(write(name, content)); err == nil {
+		if _, err := ReadCheckpointFile(writeFile(t, dir, name, content)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := ReadCheckpointFile(write("badreduce.json",
-		`{"schema":"`+CheckpointFileSchema+`","benchmark":"RCU","reduce":"bogus","state":`+state+`}`)); err == nil {
-		t.Error("badreduce.json: accepted")
-	}
-	good := write("good.json", `{"schema":"`+CheckpointFileSchema+`","benchmark":"RCU","state":`+state+`}`)
+	good := writeFile(t, dir, "good.json", `{"schema":"`+CheckpointFileSchema+`","benchmark":"RCU","state":`+state+`}`)
 	cf, err := ReadCheckpointFile(good)
 	if err != nil {
 		t.Fatalf("valid envelope rejected: %v", err)
 	}
-	if cf.Benchmark != "RCU" || cf.State.Pending() != 1 {
+	if cf.Benchmark != "RCU" || cf.State.Pending() != 1 || cf.State.Reduce.Any() {
 		t.Errorf("round trip mangled the envelope: %+v", cf)
 	}
-	// Reduction identity: an absent field means unreduced (pre-reduction
-	// envelopes), a recorded set must match the resume's exactly.
-	if cf.ReduceSet().Any() {
-		t.Errorf("absent reduce field resolved to %v, want the zero set", cf.ReduceSet())
-	}
-	if err := cf.ValidateReduce(checker.ReduceSet{}); err != nil {
-		t.Errorf("matching (empty) reduction refused: %v", err)
-	}
-	if err := cf.ValidateReduce(checker.ReduceAll()); err == nil {
-		t.Error("mismatched reduction accepted on an unreduced checkpoint")
-	}
-	red := write("reduced.json",
-		`{"schema":"`+CheckpointFileSchema+`","benchmark":"RCU","reduce":"rf,spinloop","state":`+state+`}`)
-	cf, err = ReadCheckpointFile(red)
+	cf, err = ReadCheckpointFile(writeFile(t, dir, "reduced.json", v1+`"reduce":"rf,spinloop","state":`+state+`}`))
 	if err != nil {
-		t.Fatalf("reduced envelope rejected: %v", err)
+		t.Fatalf("reduced v1 envelope rejected: %v", err)
 	}
-	if got := cf.ReduceSet(); got != (checker.ReduceSet{RF: true, Spinloop: true}) {
-		t.Errorf("ReduceSet() = %+v, want rf+spinloop", got)
-	}
-	if err := cf.ValidateReduce(checker.ReduceSet{RF: true, Spinloop: true}); err != nil {
-		t.Errorf("matching reduction refused: %v", err)
-	}
-	if err := cf.ValidateReduce(checker.ReduceSet{RF: true}); err == nil {
-		t.Error("subset reduction accepted — a frontier is only valid under the exact set that produced it")
+	if got := cf.State.Reduce; got != (checker.ReduceSet{RF: true, Spinloop: true}) {
+		t.Errorf("v1 reduce read as %+v, want rf+spinloop", got)
 	}
 }
 

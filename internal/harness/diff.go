@@ -237,7 +237,7 @@ func runLitmusLeg(lt *LitmusTest, opts Options) *legRun {
 // runBenchmarkLeg explores one Figure 7 benchmark's primary workload
 // under opts, collecting canonical spec fingerprints as behavior keys.
 func runBenchmarkLeg(b *Benchmark, opts Options) *legRun {
-	return specLeg(b.spec(opts), opts.ExplorerConfig("diff:"+b.Name), b.Progs(b.Orders())[0])
+	return specLeg(b.Spec(), opts.ExplorerConfig("diff:"+b.Name), b.Progs(b.Orders())[0])
 }
 
 // specLeg explores prog against spec under cfg, collecting canonical

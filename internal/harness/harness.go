@@ -50,13 +50,6 @@ type Options struct {
 	// Rows may explore concurrently, so the callback must be safe for
 	// concurrent use.
 	Progress func(name string, p checker.Progress)
-	// ProgressInterval is the snapshot period (default 1s).
-	ProgressInterval time.Duration
-	// DisableSpecCache turns off the per-shard spec-check memoization for
-	// every exploration the harness runs (Spec.DisableCheckCache), for
-	// cache-on/off ablation runs. Results must be identical either way;
-	// only timings and the spec_cache_* counters change.
-	DisableSpecCache bool
 	// CPUProfile and MemProfile, when non-empty, are file paths the CLI
 	// writes pprof profiles to around the invoked experiment (see
 	// StartProfiles).
@@ -101,16 +94,6 @@ func (o Options) StartProfiles() (stop func() error, err error) {
 	}, nil
 }
 
-// spec builds the benchmark's spec with the harness-level cache switch
-// applied.
-func (b *Benchmark) spec(opts Options) *core.Spec {
-	s := b.Spec()
-	if opts.DisableSpecCache {
-		s.DisableCheckCache = true
-	}
-	return s
-}
-
 func (o Options) workerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -122,7 +105,7 @@ func (o Options) workerCount() int {
 // wiring the name-labeled progress callback when requested. The cdsspec
 // CLI uses it for one-off explorations that bypass the Run* helpers.
 func (o Options) ExplorerConfig(name string) checker.Config {
-	cfg := checker.Config{ProgressInterval: o.ProgressInterval, Parallelism: o.Parallelism, Model: o.Model, Reduce: o.Reduce}
+	cfg := checker.Config{Parallelism: o.Parallelism, Model: o.Model, Reduce: o.Reduce}
 	if o.Progress != nil {
 		cfg.Progress = func(p checker.Progress) { o.Progress(name, p) }
 	}
@@ -218,7 +201,7 @@ type Fig7Row struct {
 // RunFig7 explores the primary unit test exhaustively and returns the
 // measured row.
 func (b *Benchmark) RunFig7(opts Options) Fig7Row {
-	res := core.Explore(b.spec(opts), opts.ExplorerConfig(b.Name), b.Progs(b.Orders())[0])
+	res := core.Explore(b.Spec(), opts.ExplorerConfig(b.Name), b.Progs(b.Orders())[0])
 	return Fig7Row{
 		Name:            b.Name,
 		Executions:      res.Executions,
@@ -284,7 +267,7 @@ func (b *Benchmark) RunFig8(opts Options) Fig8Row {
 		for _, prog := range b.Progs(weaks[i]) {
 			cfg := opts.ExplorerConfig(b.Name)
 			cfg.StopAtFirst = true
-			res := core.Explore(b.spec(opts), cfg, prog)
+			res := core.Explore(b.Spec(), cfg, prog)
 			trialExecs[i] += res.Executions
 			trialStats[i].Merge(&res.Stats)
 			if f := res.FirstFailure(); f != nil {

@@ -175,20 +175,6 @@ func TestFig7CacheColumn(t *testing.T) {
 	}
 }
 
-// TestDisableSpecCacheOption: the harness-level switch reaches the spec.
-func TestDisableSpecCacheOption(t *testing.T) {
-	b := BenchmarkByName("M&S Queue")
-	if b == nil {
-		t.Fatal("M&S Queue benchmark missing")
-	}
-	if !b.spec(Options{DisableSpecCache: true}).DisableCheckCache {
-		t.Error("DisableSpecCache option not applied to the spec")
-	}
-	if b.spec(Options{}).DisableCheckCache {
-		t.Error("cache disabled by default")
-	}
-}
-
 // TestFig8ParallelDeterminism: a worker-pool Figure 8 sweep produces a
 // row identical to the sequential sweep (trials are independent and the
 // fold is in weakening order).
@@ -221,7 +207,7 @@ func TestFig8RFClassesSumTrials(t *testing.T) {
 		for _, prog := range b.Progs(weak) {
 			cfg := opts.ExplorerConfig(b.Name)
 			cfg.StopAtFirst = true
-			res := core.Explore(b.spec(opts), cfg, prog)
+			res := core.Explore(b.Spec(), cfg, prog)
 			want += res.Stats.RFClasses
 			if res.FirstFailure() != nil {
 				break

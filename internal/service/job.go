@@ -76,7 +76,8 @@ type JobSpec struct {
 	// Benchmark names the harness benchmark to verify (required).
 	Benchmark string `json:"benchmark"`
 	// Model is the consistency model (empty = c11). An explore job that
-	// resumes a checkpoint refuses a model mismatch, like cdsspec resume.
+	// resumes a checkpoint explored under another model fails
+	// (checker.Config.Validate refuses it).
 	Model string `json:"model,omitempty"`
 	// MaxExecutions bounds the exploration / run budget (0 = exhaustive
 	// for explore, engine default for fast/triage).
@@ -91,8 +92,6 @@ type JobSpec struct {
 	// CheckpointEvery overrides the daemon's periodic checkpoint
 	// interval for explore jobs (0 = the server default).
 	CheckpointEvery time.Duration `json:"checkpoint_every_ns,omitempty"`
-	// NoCache disables the spec-check memoization cache (explore jobs).
-	NoCache bool `json:"nocache,omitempty"`
 	// Seed seeds fast-mode runs and triage program generation.
 	Seed uint64 `json:"seed,omitempty"`
 	// Count is the triage program count (0 = triage default).

@@ -443,7 +443,6 @@ func (s *Server) runExplore(j *job) (*Summary, any, error) {
 	if b == nil {
 		return nil, nil, fmt.Errorf("unknown benchmark %q", j.spec.Benchmark)
 	}
-	nocache := j.spec.NoCache
 	cpPath := s.st.checkpointPath(j.id)
 	if _, err := s.st.jobDir(j.id); err != nil {
 		return nil, nil, err
@@ -458,44 +457,8 @@ func (s *Server) runExplore(j *job) (*Summary, any, error) {
 		Interrupt:        j.stop,
 	}
 
-	// Resume path: a checkpoint on disk means a previous attempt was
-	// suspended or crashed. The envelope must belong to this job's
-	// benchmark and model (the PR 8 refusal — a frontier is only valid
-	// under the model that produced it); the spec-cache switch is
-	// adopted from the envelope so the resumed half explores under the
-	// exact configuration of the first half.
-	if _, err := os.Stat(cpPath); err == nil {
-		cf, err := harness.ReadCheckpointFile(cpPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("reading job checkpoint: %w", err)
-		}
-		if cf.Benchmark != b.Name {
-			return nil, nil, fmt.Errorf("job checkpoint belongs to benchmark %q, job wants %q", cf.Benchmark, b.Name)
-		}
-		if err := cf.ValidateModel(j.spec.ModelID()); err != nil {
-			return nil, nil, err
-		}
-		nocache = cf.NoCache
-		cfg.ResumeFrom = cf.State
-		s.mu.Lock()
-		j.resumed = true
-		s.resumes++
-		s.mu.Unlock()
-		s.cfg.Logf("service: job %s resumes from checkpoint (%d pending tasks, %d executions done)",
-			j.id, cf.State.Pending(), cf.State.Executions)
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("probing job checkpoint: %w", err)
-	}
-
 	cfg.Checkpoint = func(cp *checker.Checkpoint) {
-		cf := &harness.CheckpointFile{
-			Schema:    harness.CheckpointFileSchema,
-			Benchmark: b.Name,
-			Workers:   j.spec.Parallelism,
-			Model:     string(j.spec.ModelID()),
-			NoCache:   nocache,
-			State:     cp,
-		}
+		cf := &harness.CheckpointFile{Schema: harness.CheckpointFileSchema, Benchmark: b.Name, State: cp}
 		if err := harness.WriteCheckpointFile(cpPath, cf); err != nil {
 			s.cfg.Logf("service: checkpointing job %s: %v", j.id, err)
 		}
@@ -504,13 +467,36 @@ func (s *Server) runExplore(j *job) (*Summary, any, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = s.cfg.CheckpointEvery
 	}
+
+	// Resume path: a checkpoint on disk means a previous attempt was
+	// suspended or crashed. The envelope must belong to this job's
+	// benchmark; cfg.Validate refuses a state explored under another
+	// model or reduction set (explore jobs run unreduced).
+	var cf *harness.CheckpointFile
+	if _, err := os.Stat(cpPath); err == nil {
+		if cf, err = harness.ReadCheckpointFile(cpPath); err != nil {
+			return nil, nil, fmt.Errorf("reading job checkpoint: %w", err)
+		}
+		if cf.Benchmark != b.Name {
+			return nil, nil, fmt.Errorf("job checkpoint belongs to benchmark %q, job wants %q", cf.Benchmark, b.Name)
+		}
+		cfg.ResumeFrom = cf.State
+	} else if !os.IsNotExist(err) {
+		return nil, nil, fmt.Errorf("probing job checkpoint: %w", err)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
+	if cf != nil {
+		s.mu.Lock()
+		j.resumed = true
+		s.resumes++
+		s.mu.Unlock()
+		s.cfg.Logf("service: job %s resumes from checkpoint (%d pending tasks, %d executions done)",
+			j.id, cf.State.Pending(), cf.State.Executions)
+	}
 
-	spec := b.Spec()
-	spec.DisableCheckCache = nocache
-	res := core.Explore(spec, cfg, b.Progs(b.Orders())[0])
+	res := core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
 	return summarize(res), &resultPayload{ID: j.id, Kind: KindExplore, Benchmark: b.Name, Result: res}, nil
 }
 

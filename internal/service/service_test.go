@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/checker"
+	"repro/internal/checker/model"
 	"repro/internal/core"
 	"repro/internal/harness"
 )
@@ -413,14 +414,14 @@ func TestServiceModelMismatchOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the world: rewrite the checkpoint envelope's model, as if
-	// the state directory were shared with a differently-configured run.
+	// Corrupt the world: rewrite the checkpoint's model, as if the state
+	// directory were shared with a differently-configured run.
 	cpPath := filepath.Join(dir, "jobs", v.ID, "checkpoint.json")
 	cf, err := harness.ReadCheckpointFile(cpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf.Model = "sc"
+	cf.State.Model = model.SC
 	if err := harness.WriteCheckpointFile(cpPath, cf); err != nil {
 		t.Fatal(err)
 	}
@@ -444,6 +445,59 @@ func TestServiceModelMismatchOnResume(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// TestServiceRecoversV1StateDir: a state directory written before the
+// checkpoint envelope's v2 still recovers. Its journal submits an explore
+// job with the retired "nocache" switch and suspends it, and its v1
+// checkpoint records the model, nocache and workers beside the state. The
+// switch is ignored and the job resumes to the uninterrupted result.
+func TestServiceRecoversV1StateDir(t *testing.T) {
+	dir := t.TempDir()
+	const id = "j000001"
+	b := harness.BenchmarkByName("M&S Queue")
+	var cp *checker.Checkpoint
+	core.Explore(b.Spec(), checker.Config{
+		MaxExecutions: 500,
+		Checkpoint:    func(c *checker.Checkpoint) { cp = c },
+	}, b.Progs(b.Orders())[0])
+	blob, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &state); err != nil {
+		t.Fatal(err)
+	}
+	delete(state, "model")
+	delete(state, "reduce")
+	if blob, err = json.Marshal(state); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs", id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	envelope := `{"schema":"cdsspec-checkpoint-file/v1","benchmark":"M&S Queue","workers":2,"model":"c11","nocache":true,"state":` + string(blob) + "}\n"
+	journal := `{"schema":"cdsspec-journal/v1","seq":1,"event":"submit","id":"` + id + `","spec":{"benchmark":"M&S Queue","parallelism":2,"nocache":true}}
+{"seq":2,"event":"state","id":"` + id + `","state":"running"}
+{"seq":3,"event":"state","id":"` + id + `","state":"suspended"}
+`
+	for name, content := range map[string]string{
+		filepath.Join("jobs", id, "checkpoint.json"): envelope,
+		"journal.jsonl": journal,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, cl := startServer(t, dir, 1)
+	defer srv.Drain()
+	final := waitState(t, cl, id, StateDone)
+	if !final.Resumed || final.Attempts != 2 {
+		t.Fatalf("recovered job should be a second, resumed attempt: resumed=%v attempts=%d", final.Resumed, final.Attempts)
+	}
+	requireResumeIdentical(t, "v1 state directory", exploreReference(t, "M&S Queue"), readResult(t, dir, id).Result)
 }
 
 // TestServiceDrainRejectsSubmit: a draining daemon refuses new work.
