@@ -923,20 +923,35 @@ func (s *System) reportStuck() {
 	s.aborted = true
 }
 
-// grant hands the baton to t and waits for it to park or finish.
-// reap collects every thread goroutine: blocked ones are poisoned (they
-// see aborted and unwind; draining suppresses their baton handoff), and
-// each goroutine's final parked send is consumed, so by the time reap
-// returns no goroutine of this execution is live — the precondition for
-// pooling the Thread structs.
+// reap ends the execution's unfinished threads: each is poisoned (it
+// sees aborted and unwinds) and acks on schedDone, so by the time reap
+// returns every thread goroutine of this execution is idle on its resume
+// channel — the precondition for pooling the Thread structs. A thread
+// that finished needs no join: after its last baton send it touches
+// nothing but resume. Unpooled threads are not reused, so reap stops
+// their goroutines too.
 func (s *System) reap() {
 	s.draining = true
 	s.aborted = true
 	for _, t := range s.threads {
 		if t.state != tsFinished {
 			t.resume <- struct{}{}
+			<-s.schedDone
 		}
-		<-t.parked
 	}
 	s.draining = false
+	if s.pool == nil {
+		stopThreads(s.threads, s.schedDone)
+	}
+}
+
+// stopThreads closes the resume channel of every thread in ts, all idle
+// between executions, and waits for each goroutine's exit ack on exited.
+func stopThreads(ts []*Thread, exited <-chan struct{}) {
+	for _, t := range ts {
+		close(t.resume)
+	}
+	for range ts {
+		<-exited
+	}
 }

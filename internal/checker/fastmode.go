@@ -205,6 +205,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, deadline time.Time, b *bounds) {
 	ch := &fastChooser{stats: &res.Stats}
 	pool := newExecPool(c)
+	defer pool.close()
 	for i := from; i < to; i++ {
 		if b != nil && b.stopped() {
 			return

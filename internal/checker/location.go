@@ -107,7 +107,7 @@ type location struct {
 	// Per-thread latest-access vectors for exact O(threads) race checks
 	// (C11Tester-style): readSeq[tid]/writeSeq[tid] is the tseq of thread
 	// tid's newest read/write of this location, 0 if none (real accesses
-	// always have tseq >= 1 — threadMain burns tseq 1 on ThreadStart).
+	// always have tseq >= 1 — Thread.run burns tseq 1 on ThreadStart).
 	// Covering a thread's latest access implies covering all its earlier
 	// ones, so one vector entry per thread suffices. Maintained in every
 	// mode; fast mode uses them as its only race detector.

@@ -101,9 +101,9 @@ func (p *execPool) take(cfg *Config, ch chooser, execIndex int, scratch any) *Sy
 }
 
 // getThread returns the id-th thread struct, recycled and reset to run
-// fn with a clock copied from src. The previous execution's goroutine
-// has fully exited (drain guarantees it), so the channels are idle and
-// reusable; only a fresh goroutine is started per execution.
+// fn with a clock copied from src. A recycled thread keeps its goroutine,
+// idle on resume since the previous execution's reap; a goroutine is
+// started only for an id the pool has never run, and lives until close.
 func (p *execPool) getThread(s *System, id int, name string, fn func(*Thread), src *memmodel.ClockVector) *Thread {
 	if id < len(p.threads) {
 		t := p.threads[id]
@@ -113,6 +113,16 @@ func (p *execPool) getThread(s *System, id int, name string, fn func(*Thread), s
 	t := newThreadStruct(s, id, name, fn, cloneOrNew(src))
 	p.threads = append(p.threads, t)
 	return t
+}
+
+// close stops the pool's thread goroutines and waits for them to exit.
+// The pool's owner calls it once, between executions, when it is done
+// with the pool; a nil pool has nothing to stop.
+func (p *execPool) close() {
+	if p == nil || len(p.threads) == 0 {
+		return
+	}
+	stopThreads(p.threads, p.sys.schedDone)
 }
 
 // getLocation returns the id-th location struct, recycled and reset.

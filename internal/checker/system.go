@@ -97,11 +97,12 @@ type System struct {
 	// schedDone is how the baton-passing scheduler returns control to
 	// runExecution: scheduling decisions run inline in whichever thread
 	// goroutine holds the baton (see Thread.park), and the holder whose
-	// decision finds the execution over signals here exactly once.
+	// decision finds the execution over signals here exactly once. reap
+	// receives each poisoned thread's ack here, and stopThreads each
+	// goroutine's exit.
 	schedDone chan struct{}
-	// draining tells an unwinding thread goroutine that reap is
-	// collecting goroutines: skip the baton handoff and just signal
-	// exit.
+	// draining tells a thread that reap poisoned it: unwind without a
+	// handoff (park) and ack on schedDone.
 	draining bool
 
 	// enabledBuf backs enabledThreads, reused across scheduling steps.
@@ -258,12 +259,11 @@ func (s *System) newThread(name string, fn func(*Thread), src *memmodel.ClockVec
 	} else {
 		t = newThreadStruct(s, len(s.threads), name, fn, cloneOrNew(src))
 	}
-	// The child starts parked at its start point; its goroutine blocks
-	// on the resume channel until a scheduling decision picks it, so no
-	// startup handshake is needed.
+	// The child starts parked at its start point; its goroutine waits on
+	// resume until a scheduling decision picks it, so no startup
+	// handshake is needed.
 	t.state = tsParked
 	s.threads = append(s.threads, t)
-	go t.threadMain()
 	return t
 }
 

@@ -104,15 +104,17 @@ type Thread struct {
 	spinLoc      *location
 	spinRF       int
 
-	fn     func(*Thread)
+	fn func(*Thread)
+	// resume carries the baton to the thread's goroutine (see loop),
+	// which lives until resume is closed.
 	resume chan struct{}
-	parked chan struct{}
 }
 
-// newThreadStruct builds a fresh Thread. clock ownership passes to the
-// thread.
+// newThreadStruct builds a fresh Thread and starts its goroutine, which
+// acks on s.schedDone once resume is closed. clock ownership passes to
+// the thread.
 func newThreadStruct(s *System, id int, name string, fn func(*Thread), clock *memmodel.ClockVector) *Thread {
-	return &Thread{
+	t := &Thread{
 		sys:             s,
 		id:              id,
 		name:            name,
@@ -123,14 +125,15 @@ func newThreadStruct(s *System, id int, name string, fn func(*Thread), clock *me
 		classIdx:        -1,
 		fn:              fn,
 		resume:          make(chan struct{}),
-		parked:          make(chan struct{}),
 	}
+	go t.loop(s.schedDone)
+	return t
 }
 
 // reset returns a pooled Thread to its just-constructed state, keeping
-// the id, the channels (the previous execution's goroutine has fully
-// exited, so they are idle), and every clock's storage. src seeds the
-// clock (nil = empty).
+// the id, the resume channel and its goroutine (idle between executions:
+// after its last baton send it touches nothing but resume), and every
+// clock's storage. src seeds the clock (nil = empty).
 func (t *Thread) reset(s *System, name string, fn func(*Thread), src *memmodel.ClockVector) {
 	t.sys = s
 	t.name = name
@@ -194,6 +197,11 @@ func (t *Thread) Clock() *memmodel.ClockVector { return t.clock.Clone() }
 // channel handoff instead of two.
 func (t *Thread) park() {
 	s := t.sys
+	if s.draining {
+		// A deferred operation of a thread reap poisoned: the execution is
+		// over and reap holds the baton, so keep unwinding.
+		panic(abortRun{})
+	}
 	next := s.nextThread()
 	if next == t {
 		t.state = tsRunning
@@ -350,8 +358,20 @@ func (t *Thread) NewMutex(name string) *Mutex {
 	return m
 }
 
-// threadMain is the goroutine body of a simulated thread.
-func (t *Thread) threadMain() {
+// loop is the goroutine of a Thread: each grant on resume between
+// executions runs one execution's body, until resume is closed (by the
+// pool's close, or by reap for an unpooled thread); then it acks on
+// exited.
+func (t *Thread) loop(exited chan<- struct{}) {
+	for range t.resume {
+		t.run()
+	}
+	exited <- struct{}{}
+}
+
+// run is one execution's body of the thread, entered on the grant that
+// starts it (newThread leaves the thread tsParked at its start point).
+func (t *Thread) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortRun); !ok {
@@ -370,22 +390,18 @@ func (t *Thread) threadMain() {
 		t.finishClock = t.clock.Share()
 		t.state = tsFinished
 		// A finishing (or unwinding) thread holds the baton: pass it on
-		// exactly as park would, unless reap is already collecting
-		// goroutines (it owns the baton then). The parked send is the
-		// exit signal reap consumes before the Thread can be pooled.
-		if !t.sys.draining {
-			if next := t.sys.nextThread(); next != nil {
-				next.resume <- struct{}{}
-			} else {
-				t.sys.schedDone <- struct{}{}
-			}
+		// exactly as park would. While reap drains, nextThread is nil and
+		// the schedDone send is the ack reap waits for. After the send
+		// this goroutine touches nothing of t: the next execution may
+		// already be resetting it.
+		s := t.sys
+		if next := s.nextThread(); next != nil {
+			next.resume <- struct{}{}
+		} else {
+			s.schedDone <- struct{}{}
 		}
-		t.parked <- struct{}{}
 	}()
 
-	// Born parked (newThread sets tsParked before the goroutine starts):
-	// block until a scheduling decision picks this thread.
-	<-t.resume
 	if t.sys.aborted {
 		panic(abortRun{})
 	}

@@ -200,6 +200,7 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 // steal; park when the whole frontier is in flight elsewhere.
 func (e *wsEngine) worker(w int) {
 	wk := &wsWorker{d: newDFSChooser(e.c), pool: newExecPool(e.c), dq: e.deques[w]}
+	defer wk.pool.close()
 	for {
 		if e.stop.Load() {
 			return

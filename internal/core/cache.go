@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"repro/internal/checker"
@@ -65,7 +64,6 @@ type checkScratch struct {
 	order      []*Call
 	ready      []int
 	fp         []byte
-	auxKeys    []string
 }
 
 // grabMatrix returns a zeroed n×n bool matrix backed by the scratch
@@ -137,19 +135,11 @@ func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key string,
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(c.Aux)))
-		if len(c.Aux) > 0 {
-			keys := sc.auxKeys[:0]
-			for k := range c.Aux {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				buf = binary.AppendUvarint(buf, uint64(len(k)))
-				buf = append(buf, k...)
-				buf = binary.AppendUvarint(buf, uint64(c.Aux[k]))
-			}
-			sc.auxKeys = keys[:0]
+		buf = binary.AppendUvarint(buf, uint64(len(c.aux)))
+		for _, a := range c.aux {
+			buf = binary.AppendUvarint(buf, uint64(len(a.key)))
+			buf = append(buf, a.key...)
+			buf = binary.AppendUvarint(buf, uint64(a.v))
 		}
 	}
 	// The closed ~r~ matrix, bit-packed row-major.

@@ -229,7 +229,7 @@ func TestCheckMemoHitIsolation(t *testing.T) {
 		cE := makeCall(0, "enq", 0, opE)
 		cE.Args = []memmodel.Value{1}
 		cD := makeCall(1, "deq", 2, opD) // wrong value: check fails
-		return &Monitor{spec: queueSpec(), calls: []*Call{cE, cD}, active: map[int]*Call{}, depth: map[int]int{}}
+		return &Monitor{spec: queueSpec(), calls: []*Call{cE, cD}}
 	}
 	cc := newCheckCache()
 	r1, rep1 := mk().checkMemo(cc)

@@ -53,15 +53,24 @@ type Call struct {
 	// SRet is scratch space for specs: the sequential return value
 	// (S_RET in the paper), written by SideEffect, read by PostCondition.
 	SRet memmodel.Value
-	// Aux is extra scratch space for specs that need more than SRet.
-	Aux map[string]memmodel.Value
+	// aux is extra scratch space for specs that need more than SRet
+	// (SetAux/GetAux), kept sorted by key so both fingerprints serialize
+	// it in key order without sorting.
+	aux []auxValue
 
 	ended bool
+	// ctx is the instrumentation handle Begin returns for this call.
+	ctx CallCtx
 }
 
 type potentialOP struct {
 	label string
 	act   *memmodel.Action
+}
+
+type auxValue struct {
+	key string
+	v   memmodel.Value
 }
 
 // Arg returns the i-th argument (0 if absent), a convenience for specs.
@@ -74,15 +83,27 @@ func (c *Call) Arg(i int) memmodel.Value {
 
 // SetAux stores a named scratch value on the call.
 func (c *Call) SetAux(key string, v memmodel.Value) {
-	if c.Aux == nil {
-		c.Aux = map[string]memmodel.Value{}
+	i := 0
+	for i < len(c.aux) && c.aux[i].key < key {
+		i++
 	}
-	c.Aux[key] = v
+	if i < len(c.aux) && c.aux[i].key == key {
+		c.aux[i].v = v
+		return
+	}
+	c.aux = append(c.aux, auxValue{})
+	copy(c.aux[i+1:], c.aux[i:])
+	c.aux[i] = auxValue{key, v}
 }
 
 // GetAux reads a named scratch value (0 if absent).
 func (c *Call) GetAux(key string) memmodel.Value {
-	return c.Aux[key]
+	for _, a := range c.aux {
+		if a.key == key {
+			return a.v
+		}
+	}
+	return 0
 }
 
 // String renders the call for diagnostics, e.g. "deq()/-1 [T2 #5]".

@@ -200,7 +200,7 @@ func queueSpec() *Spec {
 }
 
 func checkCalls(spec *Spec, calls []*Call) *CheckResult {
-	m := &Monitor{spec: spec, calls: calls, active: map[int]*Call{}, depth: map[int]int{}}
+	m := &Monitor{spec: spec, calls: calls}
 	return m.Check()
 }
 

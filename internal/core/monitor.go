@@ -11,23 +11,27 @@ import (
 type Monitor struct {
 	spec  *Spec
 	calls []*Call
-	// active tracks the outermost open call per thread: when an API
-	// method calls another API method, only the outermost counts
-	// (paper §4.3, "Nested API Method Call").
-	active map[int]*Call
-	depth  map[int]int
+	// depth is the API-call nesting depth per thread id: when an API
+	// method calls another API method, only the outermost counts (paper
+	// §4.3, "Nested API Method Call"). muts counts spec-layer mutations
+	// per thread id, for the checker's spinloop reduction (see
+	// ReduceThreadMuts in reduce.go). mut grows both to cover a thread;
+	// Install backs them with depthBuf and mutsBuf, so an execution with
+	// up to four threads records without allocating them.
+	depth    []int
+	muts     []uint64
+	depthBuf [4]int
+	mutsBuf  [4]uint64
 	// noScratch backs the check when no shard cache (and thus no shared
 	// checkScratch) is available — direct Check() calls from unit tests.
 	noScratch checkScratch
-	// muts counts spec-layer mutations per thread, for the checker's
-	// spinloop reduction (see ReduceThreadMuts in reduce.go).
-	muts map[int]uint64
 }
 
 // Install creates a Monitor for spec and hangs it off the system so the
 // instrumented data-structure code can find it.
 func Install(sys *checker.System, spec *Spec) *Monitor {
-	m := &Monitor{spec: spec, active: map[int]*Call{}, depth: map[int]int{}}
+	m := &Monitor{spec: spec}
+	m.depth, m.muts = m.depthBuf[:0], m.mutsBuf[:0]
 	sys.Aux = m
 	return m
 }
@@ -87,9 +91,9 @@ func (m *Monitor) Begin(t *checker.Thread, name string, args ...memmodel.Value) 
 		return &CallCtx{m: m, tid: tid} // nested: inert
 	}
 	c := &Call{ID: len(m.calls), Thread: tid, Name: name, Args: args}
+	c.ctx = CallCtx{m: m, call: c, tid: tid}
 	m.calls = append(m.calls, c)
-	m.active[tid] = c
-	return &CallCtx{m: m, call: c, tid: tid}
+	return &c.ctx
 }
 
 // End closes the call with a return value (C_RET).
@@ -103,7 +107,6 @@ func (x *CallCtx) End(t *checker.Thread, ret memmodel.Value) {
 		x.call.Ret = ret
 		x.call.HasRet = true
 		x.call.ended = true
-		delete(x.m.active, x.tid)
 	}
 }
 
@@ -116,7 +119,6 @@ func (x *CallCtx) EndVoid(t *checker.Thread) {
 	x.m.depth[x.tid]--
 	if x.call != nil {
 		x.call.ended = true
-		delete(x.m.active, x.tid)
 	}
 }
 

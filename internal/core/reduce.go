@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // This file implements the checker's reduction-layer hooks on Monitor
 // (checker.AuxFingerprinter and checker.AuxMutTracker, matched
 // structurally — the checker never imports this package). The
@@ -89,21 +87,14 @@ func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
 			p.push(uint64(pot.act.Thread))
 			p.push(uint64(pot.act.TSeq))
 		}
-		p.push(uint64(len(c.Aux)))
-		if len(c.Aux) > 0 {
-			keys := make([]string, 0, len(c.Aux))
-			for k := range c.Aux {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				p.pushString(k)
-				p.push(uint64(c.Aux[k]))
-			}
+		p.push(uint64(len(c.aux)))
+		for _, a := range c.aux {
+			p.pushString(a.key)
+			p.push(uint64(a.v))
 		}
 	}
-	// Nesting depths fold commutatively (map iteration order must not
-	// leak); zero depths are absent-equivalent and skipped.
+	// Nesting depths fold commutatively; zero depths are
+	// absent-equivalent and skipped.
 	var da, db uint64
 	for tid, d := range m.depth {
 		if d == 0 {
@@ -127,13 +118,18 @@ func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
 // Begin/End (including nested pairs, conservatively), SetAux, and the
 // ordering-point annotations.
 func (m *Monitor) ReduceThreadMuts(tid int) uint64 {
-	return m.muts[tid]
+	if tid < len(m.muts) {
+		return m.muts[tid]
+	}
+	return 0
 }
 
-// mut bumps tid's spec-mutation counter.
+// mut bumps tid's spec-mutation counter, first growing the per-thread
+// slices to cover tid.
 func (m *Monitor) mut(tid int) {
-	if m.muts == nil {
-		m.muts = map[int]uint64{}
+	for len(m.muts) <= tid {
+		m.muts = append(m.muts, 0)
+		m.depth = append(m.depth, 0)
 	}
 	m.muts[tid]++
 }

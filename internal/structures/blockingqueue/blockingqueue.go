@@ -49,9 +49,12 @@ type node struct {
 
 // Queue is the simulated blocking queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Names built once in New: spec methods, and locations allocated
+	// after New.
+	enqName, deqName, nextName, dataName string
 
 	tail, head *checker.Atomic
 	nodes      []*node // index 0 unused (NULL)
@@ -63,7 +66,14 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
 	if ord == nil {
 		ord = DefaultOrders()
 	}
-	q := &Queue{name: name, ord: ord, mon: core.Of(t)}
+	q := &Queue{
+		enqName:  name + ".enq",
+		deqName:  name + ".deq",
+		nextName: name + ".next",
+		dataName: name + ".data",
+		ord:      ord,
+		mon:      core.Of(t),
+	}
 	q.nodes = append(q.nodes, nil) // handle 0 = NULL
 	dummy := q.newNode(t, 0)
 	q.tail = t.NewAtomicInit(name+".tail", dummy)
@@ -78,8 +88,8 @@ func (q *Queue) newNode(t *checker.Thread, val memmodel.Value) memmodel.Value {
 	h := memmodel.Value(len(q.nodes))
 	n := &node{}
 	q.nodes = append(q.nodes, n)
-	n.next = t.NewAtomicInit(q.name+".next", 0)
-	n.data = t.NewPlainInit(q.name+".data", val)
+	n.next = t.NewAtomicInit(q.nextName, 0)
+	n.data = t.NewPlainInit(q.dataName, val)
 	return h
 }
 
@@ -88,7 +98,7 @@ func (q *Queue) node(h memmodel.Value) *node { return q.nodes[h] }
 // Enq appends val to the queue (Figure 2 lines 4–14, annotated as in
 // Figure 6).
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
+	c := q.mon.Begin(t, q.enqName, val)
 	n := q.newNode(t, val)
 	for {
 		tl := q.tail.Load(t, q.ord.Get(SiteEnqLoadTail))
@@ -105,7 +115,7 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 // Deq removes and returns the oldest element, or Empty (Figure 2 lines
 // 15–23, annotated as in Figure 6).
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
+	c := q.mon.Begin(t, q.deqName)
 	for {
 		h := q.head.Load(t, q.ord.Get(SiteDeqLoadHead))
 		n := q.node(h).next.Load(t, q.ord.Get(SiteDeqLoadNext))

@@ -82,9 +82,12 @@ type array struct {
 
 // Deque is the simulated work-stealing deque.
 type Deque struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Names built once in New: spec methods, and locations allocated
+	// after New.
+	pushName, takeName, stealName, cellName string
 	// initCells pre-initializes fresh buffer slots (used by the known-bug
 	// experiment to disable the uninitialized-load report, as the paper
 	// does to surface the wrong-value specification violation instead).
@@ -109,7 +112,14 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int,
 	if ord == nil {
 		ord = DefaultOrders()
 	}
-	d := &Deque{name: name, ord: ord, mon: core.Of(t)}
+	d := &Deque{
+		pushName:  name + ".push",
+		takeName:  name + ".take",
+		stealName: name + ".steal",
+		cellName:  name + ".cell",
+		ord:       ord,
+		mon:       core.Of(t),
+	}
 	for _, o := range opts {
 		o(d)
 	}
@@ -127,9 +137,9 @@ func (d *Deque) newArray(t *checker.Thread, size int, old *array, top, bottom me
 	d.arrays = append(d.arrays, a)
 	for i := 0; i < size; i++ {
 		if d.initCells {
-			a.cells = append(a.cells, t.NewAtomicInit(d.name+".cell", 0))
+			a.cells = append(a.cells, t.NewAtomicInit(d.cellName, 0))
 		} else {
-			a.cells = append(a.cells, t.NewAtomic(d.name+".cell"))
+			a.cells = append(a.cells, t.NewAtomic(d.cellName))
 		}
 	}
 	for i := top; i != bottom; i++ {
@@ -141,7 +151,7 @@ func (d *Deque) newArray(t *checker.Thread, size int, old *array, top, bottom me
 
 // Push adds x at the bottom (owner only).
 func (d *Deque) Push(t *checker.Thread, x memmodel.Value) {
-	c := d.mon.Begin(t, d.name+".push", x)
+	c := d.mon.Begin(t, d.pushName, x)
 	b := d.bottom.Load(t, memmodel.Relaxed)
 	top := d.top.Load(t, d.ord.Get(SitePushLoadTop))
 	ai := d.arr.Load(t, memmodel.Relaxed)
@@ -161,7 +171,7 @@ func (d *Deque) Push(t *checker.Thread, x memmodel.Value) {
 
 // Take removes and returns the bottom element (owner only), or Empty.
 func (d *Deque) Take(t *checker.Thread) memmodel.Value {
-	c := d.mon.Begin(t, d.name+".take")
+	c := d.mon.Begin(t, d.takeName)
 	b := d.bottom.Load(t, memmodel.Relaxed) - 1
 	ai := d.arr.Load(t, memmodel.Relaxed)
 	a := d.arrays[ai]
@@ -189,7 +199,7 @@ func (d *Deque) Take(t *checker.Thread) memmodel.Value {
 
 // Steal removes and returns the top element (any thread), or Empty.
 func (d *Deque) Steal(t *checker.Thread) memmodel.Value {
-	c := d.mon.Begin(t, d.name+".steal")
+	c := d.mon.Begin(t, d.stealName)
 	top := d.top.Load(t, d.ord.Get(SiteStealLoadTop))
 	checker.Fence(t, d.ord.Get(SiteStealFence))
 	b := d.bottom.Load(t, d.ord.Get(SiteStealLoadBot))

@@ -57,10 +57,13 @@ func DefaultOrders() *memmodel.OrderTable {
 
 // RWLock is the simulated Linux reader-writer spinlock.
 type RWLock struct {
-	name string
 	ord  *memmodel.OrderTable
 	mon  *core.Monitor
 	lock *checker.Atomic
+
+	// Spec method names, built once in New.
+	readLockName, readUnlockName, readTrylockName    string
+	writeLockName, writeUnlockName, writeTrylockName string
 }
 
 // New builds a free lock (counter at Bias).
@@ -69,16 +72,21 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *RWLock {
 		ord = DefaultOrders()
 	}
 	return &RWLock{
-		name: name,
-		ord:  ord,
-		mon:  core.Of(t),
-		lock: t.NewAtomicInit(name+".lock", Bias),
+		readLockName:     name + ".read_lock",
+		readUnlockName:   name + ".read_unlock",
+		writeLockName:    name + ".write_lock",
+		writeUnlockName:  name + ".write_unlock",
+		readTrylockName:  name + ".read_trylock",
+		writeTrylockName: name + ".write_trylock",
+		ord:              ord,
+		mon:              core.Of(t),
+		lock:             t.NewAtomicInit(name+".lock", Bias),
 	}
 }
 
 // ReadLock blocks until a read lock is held.
 func (l *RWLock) ReadLock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".read_lock")
+	c := l.mon.Begin(t, l.readLockName)
 	for {
 		prior := l.lock.FetchSub(t, l.ord.Get(SiteReadLockFSub), 1)
 		c.OPClearDefine(t, true) // the successful subtract
@@ -100,7 +108,7 @@ func (l *RWLock) ReadLock(t *checker.Thread) {
 
 // ReadUnlock releases a read lock.
 func (l *RWLock) ReadUnlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".read_unlock")
+	c := l.mon.Begin(t, l.readUnlockName)
 	l.lock.FetchAdd(t, l.ord.Get(SiteReadUnlockFAdd), 1)
 	c.OPDefine(t, true)
 	c.EndVoid(t)
@@ -108,7 +116,7 @@ func (l *RWLock) ReadUnlock(t *checker.Thread) {
 
 // WriteLock blocks until the exclusive lock is held.
 func (l *RWLock) WriteLock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".write_lock")
+	c := l.mon.Begin(t, l.writeLockName)
 	for {
 		prior := l.lock.FetchSub(t, l.ord.Get(SiteWriteLockFSub), Bias)
 		c.OPClearDefine(t, true)
@@ -129,7 +137,7 @@ func (l *RWLock) WriteLock(t *checker.Thread) {
 
 // WriteUnlock releases the exclusive lock.
 func (l *RWLock) WriteUnlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".write_unlock")
+	c := l.mon.Begin(t, l.writeUnlockName)
 	l.lock.FetchAdd(t, l.ord.Get(SiteWriteUnlockFAdd), Bias)
 	c.OPDefine(t, true)
 	c.EndVoid(t)
@@ -137,7 +145,7 @@ func (l *RWLock) WriteUnlock(t *checker.Thread) {
 
 // ReadTryLock attempts a read lock without blocking; 1 = acquired.
 func (l *RWLock) ReadTryLock(t *checker.Thread) memmodel.Value {
-	c := l.mon.Begin(t, l.name+".read_trylock")
+	c := l.mon.Begin(t, l.readTrylockName)
 	prior := l.lock.FetchSub(t, l.ord.Get(SiteReadTryFSub), 1)
 	c.OPDefine(t, true)
 	if int64(prior) > 0 {
@@ -153,7 +161,7 @@ func (l *RWLock) ReadTryLock(t *checker.Thread) memmodel.Value {
 // It has the §6.1 transient side effect: the bias is subtracted and
 // restored on failure, so concurrent attempts can make each other fail.
 func (l *RWLock) WriteTryLock(t *checker.Thread) memmodel.Value {
-	c := l.mon.Begin(t, l.name+".write_trylock")
+	c := l.mon.Begin(t, l.writeTrylockName)
 	prior := l.lock.FetchSub(t, l.ord.Get(SiteWriteTryFSub), Bias)
 	c.OPDefine(t, true)
 	if prior == Bias {

@@ -51,9 +51,11 @@ type slot struct {
 
 // Table is the simulated hashtable with one segment per bucket pair.
 type Table struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Spec method names, built once in New.
+	putName, getName string
 
 	slots []slot
 	locks []*checker.Mutex
@@ -64,16 +66,22 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, n int) *Table
 	if ord == nil {
 		ord = DefaultOrders()
 	}
-	tbl := &Table{name: name, ord: ord, mon: core.Of(t)}
+	tbl := &Table{
+		putName: name + ".put",
+		getName: name + ".get",
+		ord:     ord,
+		mon:     core.Of(t),
+	}
+	keyName, valName, segName := name+".key", name+".val", name+".seg"
 	for i := 0; i < n; i++ {
 		tbl.slots = append(tbl.slots, slot{
-			key: t.NewAtomicInit(name+".key", 0),
-			val: t.NewAtomicInit(name+".val", 0),
+			key: t.NewAtomicInit(keyName, 0),
+			val: t.NewAtomicInit(valName, 0),
 		})
 	}
 	nseg := (n + 1) / 2
 	for i := 0; i < nseg; i++ {
-		tbl.locks = append(tbl.locks, t.NewMutex(name+".seg"))
+		tbl.locks = append(tbl.locks, t.NewMutex(segName))
 	}
 	return tbl
 }
@@ -84,7 +92,7 @@ func (tbl *Table) segment(key memmodel.Value) *checker.Mutex {
 
 // Put inserts or updates key (nonzero) with val under the segment lock.
 func (tbl *Table) Put(t *checker.Thread, key, val memmodel.Value) {
-	c := tbl.mon.Begin(t, tbl.name+".put", key, val)
+	c := tbl.mon.Begin(t, tbl.putName, key, val)
 	m := tbl.segment(key)
 	m.Lock(t)
 	start := int(key) % len(tbl.slots)
@@ -111,7 +119,7 @@ func (tbl *Table) Put(t *checker.Thread, key, val memmodel.Value) {
 // Get returns the value for key, or NotFound. It probes lock-free first;
 // on a miss it takes the segment lock and searches again.
 func (tbl *Table) Get(t *checker.Thread, key memmodel.Value) memmodel.Value {
-	c := tbl.mon.Begin(t, tbl.name+".get", key)
+	c := tbl.mon.Begin(t, tbl.getName, key)
 	start := int(key) % len(tbl.slots)
 	for i := 0; i < len(tbl.slots); i++ {
 		s := tbl.slots[(start+i)%len(tbl.slots)]

@@ -44,9 +44,12 @@ type qnode struct {
 
 // Lock is the simulated MCS lock.
 type Lock struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Names built once in New: spec methods, and locations allocated
+	// after New.
+	lockName, unlockName, nextName, lockedName string
 
 	tail    *checker.Atomic
 	nodes   []*qnode
@@ -59,11 +62,14 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
 		ord = DefaultOrders()
 	}
 	l := &Lock{
-		name:    name,
-		ord:     ord,
-		mon:     core.Of(t),
-		tail:    t.NewAtomicInit(name+".tail", 0),
-		holding: map[int]memmodel.Value{},
+		lockName:   name + ".lock",
+		unlockName: name + ".unlock",
+		nextName:   name + ".next",
+		lockedName: name + ".locked",
+		ord:        ord,
+		mon:        core.Of(t),
+		tail:       t.NewAtomicInit(name+".tail", 0),
+		holding:    map[int]memmodel.Value{},
 	}
 	l.nodes = append(l.nodes, nil) // handle 0 = none
 	return l
@@ -76,14 +82,14 @@ func (l *Lock) newNode(t *checker.Thread) memmodel.Value {
 	h := memmodel.Value(len(l.nodes))
 	n := &qnode{}
 	l.nodes = append(l.nodes, n)
-	n.next = t.NewAtomicInit(l.name+".next", 0)
-	n.locked = t.NewAtomicInit(l.name+".locked", 1)
+	n.next = t.NewAtomicInit(l.nextName, 0)
+	n.locked = t.NewAtomicInit(l.lockedName, 1)
 	return h
 }
 
 // Lock acquires the lock.
 func (l *Lock) Lock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".lock")
+	c := l.mon.Begin(t, l.lockName)
 	me := l.newNode(t)
 	l.holding[t.ID()] = me
 	pred := l.tail.Exchange(t, l.ord.Get(SiteLockXchgTail), me)
@@ -105,7 +111,7 @@ func (l *Lock) Lock(t *checker.Thread) {
 
 // Unlock releases the lock.
 func (l *Lock) Unlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".unlock")
+	c := l.mon.Begin(t, l.unlockName)
 	me := l.holding[t.ID()]
 	next := l.nodes[me].next.Load(t, l.ord.Get(SiteUnlockLoadNext))
 	if next == 0 {

@@ -59,9 +59,11 @@ type slot struct {
 
 // Queue is the simulated bounded MPMC queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Spec method names, built once in New.
+	enqName, deqName string
 
 	slots  []slot
 	enqPos *checker.Atomic
@@ -74,16 +76,18 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int)
 		ord = DefaultOrders()
 	}
 	q := &Queue{
-		name:   name,
-		ord:    ord,
-		mon:    core.Of(t),
-		enqPos: t.NewAtomicInit(name+".enqPos", 0),
-		deqPos: t.NewAtomicInit(name+".deqPos", 0),
+		enqName: name + ".enq",
+		deqName: name + ".deq",
+		ord:     ord,
+		mon:     core.Of(t),
+		enqPos:  t.NewAtomicInit(name+".enqPos", 0),
+		deqPos:  t.NewAtomicInit(name+".deqPos", 0),
 	}
+	seqName, dataName := name+".seq", name+".data"
 	for i := 0; i < capacity; i++ {
 		q.slots = append(q.slots, slot{
-			seq:  t.NewAtomicInit(name+".seq", memmodel.Value(i)),
-			data: t.NewAtomicInit(name+".data", 0),
+			seq:  t.NewAtomicInit(seqName, memmodel.Value(i)),
+			data: t.NewAtomicInit(dataName, 0),
 		})
 	}
 	return q
@@ -91,7 +95,7 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int)
 
 // Enq appends val, blocking while the queue is full.
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
+	c := q.mon.Begin(t, q.enqName, val)
 	pos := q.enqPos.FetchAdd(t, q.ord.Get(SiteEnqFAddPos), 1)
 	c.SetAux("pos", pos)
 	s := q.slots[int(pos)%len(q.slots)]
@@ -110,7 +114,7 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 
 // Deq removes and returns the oldest element, blocking while empty.
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
+	c := q.mon.Begin(t, q.deqName)
 	pos := q.deqPos.FetchAdd(t, q.ord.Get(SiteDeqFAddPos), 1)
 	c.SetAux("pos", pos)
 	s := q.slots[int(pos)%len(q.slots)]

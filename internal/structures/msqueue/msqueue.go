@@ -84,9 +84,12 @@ type node struct {
 
 // Queue is the simulated Michael & Scott queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Names built once in New: spec methods, and locations allocated
+	// after New.
+	enqName, deqName, nextName, dataName string
 
 	head, tail *checker.Atomic
 	nodes      []*node
@@ -97,7 +100,14 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
 	if ord == nil {
 		ord = DefaultOrders()
 	}
-	q := &Queue{name: name, ord: ord, mon: core.Of(t)}
+	q := &Queue{
+		enqName:  name + ".enq",
+		deqName:  name + ".deq",
+		nextName: name + ".next",
+		dataName: name + ".data",
+		ord:      ord,
+		mon:      core.Of(t),
+	}
 	q.nodes = append(q.nodes, nil) // handle 0 = NULL
 	dummy := q.newNode(t, 0)
 	q.head = t.NewAtomicInit(name+".head", dummy)
@@ -112,8 +122,8 @@ func (q *Queue) newNode(t *checker.Thread, val memmodel.Value) memmodel.Value {
 	h := memmodel.Value(len(q.nodes))
 	n := &node{}
 	q.nodes = append(q.nodes, n)
-	n.next = t.NewAtomicInit(q.name+".next", 0)
-	n.data = t.NewPlainInit(q.name+".data", val)
+	n.next = t.NewAtomicInit(q.nextName, 0)
+	n.data = t.NewPlainInit(q.dataName, val)
 	return h
 }
 
@@ -121,7 +131,7 @@ func (q *Queue) node(h memmodel.Value) *node { return q.nodes[h] }
 
 // Enq appends val.
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
+	c := q.mon.Begin(t, q.enqName, val)
 	n := q.newNode(t, val)
 	for {
 		tl := q.tail.Load(t, q.ord.Get(SiteEnqLoadTail))
@@ -143,7 +153,7 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 
 // Deq removes and returns the oldest element, or Empty.
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
+	c := q.mon.Begin(t, q.deqName)
 	for {
 		h := q.head.Load(t, q.ord.Get(SiteDeqLoadHead))
 		tl := q.tail.Load(t, q.ord.Get(SiteDeqLoadTail))

@@ -50,9 +50,12 @@ func DefaultOrders() *memmodel.OrderTable {
 
 // RCU is the simulated RCU-protected single-pointer structure.
 type RCU struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Names built once in New: spec methods, and locations allocated
+	// after New.
+	readName, updateName, genName string
 
 	ptr     *checker.Atomic
 	readers *checker.Atomic
@@ -65,10 +68,12 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, initial memmo
 		ord = DefaultOrders()
 	}
 	r := &RCU{
-		name:    name,
-		ord:     ord,
-		mon:     core.Of(t),
-		readers: t.NewAtomicInit(name+".readers", 0),
+		readName:   name + ".read",
+		updateName: name + ".update",
+		genName:    name + ".gen",
+		ord:        ord,
+		mon:        core.Of(t),
+		readers:    t.NewAtomicInit(name+".readers", 0),
 	}
 	r.gens = append(r.gens, t.NewPlainInit(name+".gen", initial))
 	r.ptr = t.NewAtomicInit(name+".ptr", 0)
@@ -78,7 +83,7 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, initial memmo
 // Read is one full read-side critical section: rcu_read_lock, a
 // dereference of the current generation, and rcu_read_unlock.
 func (r *RCU) Read(t *checker.Thread) memmodel.Value {
-	c := r.mon.Begin(t, r.name+".read")
+	c := r.mon.Begin(t, r.readName)
 	r.readers.FetchAdd(t, r.ord.Get(SiteLockFAdd), 1)
 	checker.Fence(t, r.ord.Get(SiteLockFence))
 	g := r.ptr.Load(t, r.ord.Get(SiteLoadPtr))
@@ -93,9 +98,9 @@ func (r *RCU) Read(t *checker.Thread) memmodel.Value {
 // and reclaims the previous generation (the synchronize_rcu + free of the
 // C original).
 func (r *RCU) Update(t *checker.Thread, v memmodel.Value) {
-	c := r.mon.Begin(t, r.name+".update", v)
+	c := r.mon.Begin(t, r.updateName, v)
 	old := memmodel.Value(len(r.gens) - 1)
-	r.gens = append(r.gens, t.NewPlainInit(r.name+".gen", v))
+	r.gens = append(r.gens, t.NewPlainInit(r.genName, v))
 	r.ptr.Store(t, r.ord.Get(SiteStorePtr), old+1)
 	c.OPDefine(t, true) // the generation-pointer store
 	checker.Fence(t, r.ord.Get(SiteWriteFence))

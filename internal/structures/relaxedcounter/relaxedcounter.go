@@ -33,10 +33,12 @@ func DefaultOrders() *memmodel.OrderTable {
 
 // Counter is the simulated relaxed counter.
 type Counter struct {
-	name string
 	ord  *memmodel.OrderTable
 	mon  *core.Monitor
 	cell *checker.Atomic
+
+	// Spec method names, built once in New.
+	incName, readName string
 }
 
 // New builds a counter at zero.
@@ -45,16 +47,17 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Counter {
 		ord = DefaultOrders()
 	}
 	return &Counter{
-		name: name,
-		ord:  ord,
-		mon:  core.Of(t),
-		cell: t.NewAtomicInit(name+".cell", 0),
+		incName:  name + ".inc",
+		readName: name + ".read",
+		ord:      ord,
+		mon:      core.Of(t),
+		cell:     t.NewAtomicInit(name+".cell", 0),
 	}
 }
 
 // Inc increments the counter.
 func (c *Counter) Inc(t *checker.Thread) {
-	cc := c.mon.Begin(t, c.name+".inc")
+	cc := c.mon.Begin(t, c.incName)
 	c.cell.FetchAdd(t, c.ord.Get(SiteIncFAdd), 1)
 	cc.OPDefine(t, true) // the RMW
 	cc.EndVoid(t)
@@ -62,7 +65,7 @@ func (c *Counter) Inc(t *checker.Thread) {
 
 // Read returns the current count (possibly stale).
 func (c *Counter) Read(t *checker.Thread) memmodel.Value {
-	cc := c.mon.Begin(t, c.name+".read")
+	cc := c.mon.Begin(t, c.readName)
 	v := c.cell.Load(t, c.ord.Get(SiteReadLoad))
 	cc.OPDefine(t, true) // the load
 	cc.End(t, v)

@@ -49,9 +49,11 @@ func DefaultOrders() *memmodel.OrderTable {
 
 // Seqlock is the simulated sequence lock protecting one data word.
 type Seqlock struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Spec method names, built once in New.
+	writeName, readName string
 
 	seq   *checker.Atomic
 	data1 *checker.Atomic
@@ -64,18 +66,19 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Seqlock {
 		ord = DefaultOrders()
 	}
 	return &Seqlock{
-		name:  name,
-		ord:   ord,
-		mon:   core.Of(t),
-		seq:   t.NewAtomicInit(name+".seq", 0),
-		data1: t.NewAtomicInit(name+".data1", 0),
-		data2: t.NewAtomicInit(name+".data2", 0),
+		writeName: name + ".write",
+		readName:  name + ".read",
+		ord:       ord,
+		mon:       core.Of(t),
+		seq:       t.NewAtomicInit(name+".seq", 0),
+		data1:     t.NewAtomicInit(name+".data1", 0),
+		data2:     t.NewAtomicInit(name+".data2", 0),
 	}
 }
 
 // Write stores v into both payload words.
 func (s *Seqlock) Write(t *checker.Thread, v memmodel.Value) {
-	c := s.mon.Begin(t, s.name+".write", v)
+	c := s.mon.Begin(t, s.writeName, v)
 	for {
 		seq := s.seq.Load(t, s.ord.Get(SiteWriteLoadSeq))
 		if seq%2 == 0 {
@@ -95,7 +98,7 @@ func (s *Seqlock) Write(t *checker.Thread, v memmodel.Value) {
 // Read returns a consistent snapshot of the payload. The second word is
 // stashed on the call so the specification can check pair consistency.
 func (s *Seqlock) Read(t *checker.Thread) memmodel.Value {
-	c := s.mon.Begin(t, s.name+".read")
+	c := s.mon.Begin(t, s.readName)
 	for {
 		seq1 := s.seq.Load(t, s.ord.Get(SiteReadLoadSeq1))
 		if seq1%2 == 0 {

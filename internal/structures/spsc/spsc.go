@@ -36,9 +36,12 @@ type node struct {
 
 // Queue is the simulated SPSC queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Names built once in New: spec methods, and locations allocated
+	// after New.
+	enqName, deqName, nextName, dataName string
 
 	nodes []*node
 	// head and tail are thread-private (consumer resp. producer), as in
@@ -51,7 +54,14 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
 	if ord == nil {
 		ord = DefaultOrders()
 	}
-	q := &Queue{name: name, ord: ord, mon: core.Of(t)}
+	q := &Queue{
+		enqName:  name + ".enq",
+		deqName:  name + ".deq",
+		nextName: name + ".next",
+		dataName: name + ".data",
+		ord:      ord,
+		mon:      core.Of(t),
+	}
 	q.nodes = append(q.nodes, nil)
 	dummy := q.newNode(t, 0)
 	q.head, q.tail = dummy, dummy
@@ -64,14 +74,14 @@ func (q *Queue) newNode(t *checker.Thread, val memmodel.Value) memmodel.Value {
 	h := memmodel.Value(len(q.nodes))
 	n := &node{}
 	q.nodes = append(q.nodes, n)
-	n.next = t.NewAtomicInit(q.name+".next", 0)
-	n.data = t.NewPlainInit(q.name+".data", val)
+	n.next = t.NewAtomicInit(q.nextName, 0)
+	n.data = t.NewPlainInit(q.dataName, val)
 	return h
 }
 
 // Enq appends val (producer only).
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
+	c := q.mon.Begin(t, q.enqName, val)
 	n := q.newNode(t, val)
 	q.nodes[q.tail].next.Store(t, q.ord.Get(SiteEnqStoreNext), n)
 	c.OPDefine(t, true) // the publishing next store
@@ -82,7 +92,7 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 // Deq blocks until an element is available and returns it (consumer
 // only).
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
+	c := q.mon.Begin(t, q.deqName)
 	for {
 		n := q.nodes[q.head].next.Load(t, q.ord.Get(SiteDeqLoadNext))
 		c.OPClearDefine(t, true) // the successful next load

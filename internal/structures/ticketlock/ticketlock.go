@@ -37,9 +37,11 @@ func DefaultOrders() *memmodel.OrderTable {
 
 // Lock is the simulated ticket lock.
 type Lock struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	ord *memmodel.OrderTable
+	mon *core.Monitor
+
+	// Spec method names, built once in New.
+	lockName, unlockName string
 
 	curTicket  *checker.Atomic
 	nowServing *checker.Atomic
@@ -55,7 +57,8 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
 		ord = DefaultOrders()
 	}
 	return &Lock{
-		name:       name,
+		lockName:   name + ".lock",
+		unlockName: name + ".unlock",
 		ord:        ord,
 		mon:        core.Of(t),
 		curTicket:  t.NewAtomicInit(name+".curTicket", 0),
@@ -66,7 +69,7 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
 
 // Lock takes a ticket and spins until it is served.
 func (l *Lock) Lock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".lock")
+	c := l.mon.Begin(t, l.lockName)
 	ticket := l.curTicket.FetchAdd(t, l.ord.Get(SiteTakeTicket), 1)
 	l.ticket[t.ID()] = ticket
 	for {
@@ -82,7 +85,7 @@ func (l *Lock) Lock(t *checker.Thread) {
 
 // Unlock serves the next ticket.
 func (l *Lock) Unlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".unlock")
+	c := l.mon.Begin(t, l.unlockName)
 	l.nowServing.Store(t, l.ord.Get(SiteStoreServing), l.ticket[t.ID()]+1)
 	c.OPDefine(t, true) // the nowServing store
 	c.EndVoid(t)
