@@ -12,7 +12,8 @@ import (
 // decision tree, no CDSSpec layer — built-in checks only (races,
 // uninitialized loads, deadlocks, livelocks). The run budget is -max
 // (default 1000), the wall-clock budget -time, and -seed makes the whole
-// run deterministic: same seed, same failures, at any -par.
+// run deterministic: same seed, same failures, at any -workers. -time
+// stops the run loop through the same interrupt a SIGINT closes.
 func (c *cli) fastRunCmd(name string) int {
 	b := harness.BenchmarkByName(name)
 	if b == nil {
@@ -23,14 +24,13 @@ func (c *cli) fastRunCmd(name string) int {
 		Model:         c.model,
 		Seed:          int64(c.seed),
 		MaxExecutions: c.maxExecs,
-		TimeBudget:    c.timeBudget,
-		Parallelism:   c.parallelism(),
+		Parallelism:   c.workers,
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(c.stderr, err)
 		return 2
 	}
-	intr, cleanup := interruptOnSignal()
+	intr, cleanup := interruptOnSignal(c.timeBudget)
 	defer cleanup()
 	cfg.Interrupt = intr
 	res := checker.Explore(cfg, b.Progs(b.Orders())[0])

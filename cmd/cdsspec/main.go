@@ -24,25 +24,27 @@
 //	cdsspec list [-v]            list benchmark names (-v: ops, roles, sites)
 //	cdsspec all                  run every experiment in sequence
 //
-// Flags: -workers N (global or per-subcommand), and per-subcommand
-// -json (machine-readable output), -progress (periodic progress to
-// stderr), -model (consistency model: c11, sc, or scatomics — see
-// DESIGN.md), -reduce (execution-equivalence reductions: all, none, or
-// a comma list of rf,symmetry,spinloop — default all for explore, none
-// elsewhere; honored by run, resume, dot, json, fig7 and fig8), -par N
-// (work-stealing exploration workers), and -cpuprofile/-memprofile
-// (write pprof profiles of the subcommand). The diff subcommand names
-// its two legs' models with -a (default c11) and -b (default sc) instead
-// of -model; leg A runs unreduced and leg B under -reduce. It exits 1
-// when the two legs share a model and observe different behavior or
-// failure sets (a reduction soundness bug). The explore and resume
+// Flags: -workers N (global or per-subcommand: the experiment worker
+// pool, and the exploration workers of explore, resume, diff, fastrun
+// and submit), and per-subcommand -json (machine-readable output),
+// -progress (periodic progress to stderr), -model (consistency model:
+// c11, sc, or scatomics — see DESIGN.md), -reduce
+// (execution-equivalence reductions: all, none, or a comma list of
+// rf,symmetry,spinloop — default all for explore, none elsewhere;
+// honored by run, resume, dot, json, fig7 and fig8), and
+// -cpuprofile/-memprofile (write pprof profiles of the subcommand).
+// The diff subcommand names its two legs' models with -a (default c11)
+// and -b (default sc) instead of -model; leg A runs unreduced and leg B
+// under -reduce. It exits 1 when the two legs share a model and observe
+// different behavior or failure sets (a reduction soundness bug). The
+// explore and resume
 // subcommands add -max, -checkpoint, -checkpoint-every and -verify (see
 // their help text); a SIGINT stops them gracefully and writes a final
 // checkpoint. Resume adopts the checkpoint's model and reduction set and
 // refuses an explicit -model or -reduce that disagrees with them.
 // The fuzz and shrink subcommands add -seed, -count, -budget, -corpus,
 // -weaken and -index. The fastrun subcommand adds -seed, -max (run
-// budget), -time (wall-clock budget) and -par. Subcommand flags go
+// budget) and -time (wall-clock budget). Subcommand flags go
 // between the subcommand and its positional arguments: cdsspec run
 // -progress "M&S Queue".
 package main
@@ -99,7 +101,6 @@ type cli struct {
 	diffA, diffB string
 
 	// explore / resume flags.
-	par             int
 	maxExecs        int
 	checkpointPath  string
 	checkpointEvery time.Duration
@@ -127,17 +128,6 @@ type cli struct {
 	shrinkHits bool
 }
 
-// parallelism resolves the exploration worker count for explore/resume:
-// -par wins, otherwise -workers doubles as the parallelism knob there
-// (the two subcommands run a single exploration, so the work-item pool
-// the flag normally sizes is empty anyway).
-func (c *cli) parallelism() int {
-	if c.par > 0 {
-		return c.par
-	}
-	return c.workers
-}
-
 func (c *cli) opts() harness.Options {
 	o := harness.Options{
 		Workers:    c.workers,
@@ -150,16 +140,17 @@ func (c *cli) opts() harness.Options {
 		o.Progress = func(name string, p checker.Progress) {
 			c.progressMu.Lock()
 			defer c.progressMu.Unlock()
+			s := p.Stats
 			if p.Final {
 				fmt.Fprintf(c.stderr, "[%s] done: %d executions in %v (%.0f exec/s, %d spec-cache hits)\n",
-					name, p.Executions, p.Elapsed.Round(timeUnit), p.ExecsPerSec, p.SpecCacheHits)
+					name, p.Executions, p.Elapsed.Round(timeUnit), p.ExecsPerSec, s.SpecCacheHits)
 				return
 			}
 			line := fmt.Sprintf("[%s] %d executions (%d feasible, %d pruned, %d failures, %d cache hits) %.0f exec/s",
-				name, p.Executions, p.Feasible, p.Pruned, p.Failures, p.SpecCacheHits, p.ExecsPerSec)
-			if p.RFEquivPrunes > 0 || p.SymmetryPrunes > 0 || p.SpinloopBounds > 0 || p.RFClasses > 0 {
+				name, p.Executions, p.Feasible, p.Pruned, p.Failures, s.SpecCacheHits, p.ExecsPerSec)
+			if s.RFEquivPrunes > 0 || s.SymmetryPrunes > 0 || s.SpinloopBounds > 0 || s.RFClasses > 0 {
 				line += fmt.Sprintf(", reduce[%d rf-pruned/%d classes, %d sym, %d spin]",
-					p.RFEquivPrunes, p.RFClasses, p.SymmetryPrunes, p.SpinloopBounds)
+					s.RFEquivPrunes, s.RFClasses, s.SymmetryPrunes, s.SpinloopBounds)
 			}
 			if p.ETA > 0 {
 				line += fmt.Sprintf(", ETA %v", p.ETA.Round(timeUnit))
@@ -194,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// parse over everything after the subcommand name.
 	sub := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	sub.SetOutput(stderr)
-	subWorkers := sub.Int("workers", c.workers, "worker pool size (0 = GOMAXPROCS)")
+	subWorkers := sub.Int("workers", c.workers, "worker pool size (0 = GOMAXPROCS); explore/resume/diff/fastrun: exploration workers (0 = one); submit: the job's workers")
 	sub.BoolVar(&c.jsonOut, "json", false, "emit machine-readable JSON instead of tables")
 	sub.BoolVar(&c.progress, "progress", false, "print periodic exploration progress to stderr")
 	sub.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the subcommand to this file")
@@ -206,7 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sub.StringVar(&c.weaken, "weaken", "", "fuzz/shrink: weaken this memory-order site one step (seeded bug)")
 	sub.IntVar(&c.index, "index", 0, "shrink: corpus entry index among the benchmark's entries")
 	sub.BoolVar(&c.verbose, "v", false, "list: include op registries and memory-order sites")
-	sub.IntVar(&c.par, "par", 0, "explore/resume/diff: work-stealing workers (0 = use -workers, 1 = one worker)")
 	sub.IntVar(&c.maxExecs, "max", 0, "explore/resume: total execution budget incl. checkpointed work (0 = exhaustive)")
 	sub.StringVar(&c.checkpointPath, "checkpoint", "", "explore/resume: write the exploration checkpoint to this file")
 	sub.DurationVar(&c.checkpointEvery, "checkpoint-every", 0, "explore/resume: also checkpoint periodically at this interval")
@@ -297,13 +287,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.runOne(pos[0])
 	case "explore":
 		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec explore [-par N] [-max N] [-checkpoint file] [-checkpoint-every dur] [-json] [-progress] <benchmark>")
+			fmt.Fprintln(stderr, "usage: cdsspec explore [-workers N] [-max N] [-checkpoint file] [-checkpoint-every dur] [-json] [-progress] <benchmark>")
 			return 2
 		}
 		return c.exploreCmd(pos[0])
 	case "resume":
 		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec resume [-par N] [-max N] [-checkpoint file] [-verify] [-json] [-progress] <file>")
+			fmt.Fprintln(stderr, "usage: cdsspec resume [-workers N] [-max N] [-checkpoint file] [-verify] [-json] [-progress] <file>")
 			return 2
 		}
 		return c.resumeCmd(pos[0])
@@ -321,13 +311,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.jsonOne(pos[0])
 	case "fastrun":
 		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec fastrun [-seed N] [-max N] [-time dur] [-par N] [-json] <benchmark>")
+			fmt.Fprintln(stderr, "usage: cdsspec fastrun [-seed N] [-max N] [-time dur] [-workers N] [-json] <benchmark>")
 			return 2
 		}
 		return c.fastRunCmd(pos[0])
 	case "diff":
 		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec diff [-a model] [-b model] [-reduce set] [-par N] [-json] <target>")
+			fmt.Fprintln(stderr, "usage: cdsspec diff [-a model] [-b model] [-reduce set] [-workers N] [-json] <target>")
 			fmt.Fprintf(stderr, "targets: %s\n", strings.Join(harness.DiffTargets(), ", "))
 			return 2
 		}
@@ -336,7 +326,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.serveCmd()
 	case "submit":
 		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec submit {-state dir|-addr host:port} [-kind explore|fast|triage] [-max N] [-par N] [-deadline dur] [-model m] [-seed N] [-count N] [-budget N] [-fastruns N] [-shrink] [-json] <benchmark>")
+			fmt.Fprintln(stderr, "usage: cdsspec submit {-state dir|-addr host:port} [-kind explore|fast|triage] [-max N] [-workers N] [-deadline dur] [-model m] [-seed N] [-count N] [-budget N] [-fastruns N] [-shrink] [-json] <benchmark>")
 			return 2
 		}
 		return c.submitCmd(pos[0])
@@ -383,13 +373,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, "usage: cdsspec [-workers N] {fig7|fig8|knownbugs|overlystrong|specstats|run <benchmark>|explore <benchmark>|resume <file>|fastrun <benchmark>|dot <benchmark>|json <benchmark>|diff <target>|fuzz [benchmark]|triage <benchmark>|shrink <benchmark>|serve|submit <benchmark>|jobs|watch <job-id>|cancel <job-id>|list [-v]|all} [-json] [-progress] [-model c11|sc|scatomics] [-reduce all|none|rf,symmetry,spinloop] [-cpuprofile file] [-memprofile file]")
-	fmt.Fprintln(w, "  explore/resume flags: -par N -max N -checkpoint file -checkpoint-every dur -verify (explore defaults to -reduce=all; resume adopts the checkpoint's model and reduction set)")
-	fmt.Fprintln(w, "  diff flags: -a model -b model -reduce set -par N (leg A: -a unreduced; leg B: -b under -reduce; litmus targets SB, MP, IRIW or any benchmark; exits 1 when same-model legs differ)")
+	fmt.Fprintln(w, "  explore/resume flags: -workers N -max N -checkpoint file -checkpoint-every dur -verify (explore defaults to -reduce=all; resume adopts the checkpoint's model and reduction set)")
+	fmt.Fprintln(w, "  diff flags: -a model -b model -reduce set -workers N (leg A: -a unreduced; leg B: -b under -reduce; litmus targets SB, MP, IRIW or any benchmark; exits 1 when same-model legs differ)")
 	fmt.Fprintln(w, "  fuzz/shrink flags: -seed N -count N -budget N -corpus file -weaken site -index N")
 	fmt.Fprintln(w, "  triage flags: -seed N -count N -budget N -fastruns N -shrink -corpus file -weaken site")
-	fmt.Fprintln(w, "  fastrun flags: -seed N -max N -time dur -par N")
+	fmt.Fprintln(w, "  fastrun flags: -seed N -max N -time dur -workers N")
 	fmt.Fprintln(w, "  serve flags: -state dir -addr host:port -jobs N -checkpoint-every dur")
-	fmt.Fprintln(w, "  submit/jobs/watch/cancel flags: -state dir|-addr host:port; submit adds -kind -max -par -deadline plus the triage flags")
+	fmt.Fprintln(w, "  submit/jobs/watch/cancel flags: -state dir|-addr host:port; submit adds -kind -max -workers -deadline plus the triage flags")
 }
 
 // diffCmd explores target as two legs — A under the -a model with no
@@ -413,7 +403,7 @@ func (c *cli) diffCmd(target string) int {
 		return 2
 	}
 	optsA := c.opts()
-	optsA.Parallelism = c.parallelism()
+	optsA.Parallelism = c.workers
 	optsA.Model = a
 	optsA.Reduce = checker.ReduceSet{}
 	optsB := optsA
@@ -558,14 +548,29 @@ func (c *cli) jsonOne(name string) int {
 	return 0
 }
 
-// interruptOnSignal returns a channel that closes on the first SIGINT,
-// plus a cleanup func. The engine drains gracefully and writes its final
-// checkpoint; a second SIGINT kills the process the usual way because
-// the handler is removed after the first.
-func interruptOnSignal() (<-chan struct{}, func()) {
+// interruptOnSignal returns a channel that closes on the first SIGINT or,
+// when budget is positive, once budget has elapsed, plus a cleanup func.
+// The engine drains gracefully and writes its final checkpoint; a second
+// SIGINT kills the process the usual way because the handler is removed
+// after the first. The budget timer feeds the signal channel, so it
+// shares the teardown below: it never fires after cleanup.
+func interruptOnSignal(budget time.Duration) (<-chan struct{}, func()) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	return interruptFrom(sig, func() { signal.Stop(sig) })
+	stop := func() { signal.Stop(sig) }
+	if budget > 0 {
+		timer := time.AfterFunc(budget, func() {
+			select {
+			case sig <- os.Interrupt:
+			default: // a signal is already pending
+			}
+		})
+		stop = func() {
+			signal.Stop(sig)
+			timer.Stop()
+		}
+	}
+	return interruptFrom(sig, stop)
 }
 
 // interruptFrom wires an already-registered signal channel to an
@@ -677,7 +682,7 @@ func (c *cli) exploreCmd(name string) int {
 		c.reduce = checker.ReduceAll()
 	}
 	opts := c.opts()
-	opts.Parallelism = c.parallelism()
+	opts.Parallelism = c.workers
 	cfg := opts.ExplorerConfig(b.Name)
 	cfg.MaxExecutions = c.maxExecs
 	if c.checkpointPath != "" {
@@ -688,7 +693,7 @@ func (c *cli) exploreCmd(name string) int {
 		fmt.Fprintln(c.stderr, err)
 		return 2
 	}
-	intr, cleanup := interruptOnSignal()
+	intr, cleanup := interruptOnSignal(0)
 	defer cleanup()
 	cfg.Interrupt = intr
 	res := core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])
@@ -722,7 +727,7 @@ func (c *cli) resumeCmd(path string) int {
 	}
 	b := harness.BenchmarkByName(cf.Benchmark)
 	opts := c.opts()
-	opts.Parallelism = c.parallelism()
+	opts.Parallelism = c.workers
 	cfg := opts.ExplorerConfig(b.Name)
 	cfg.MaxExecutions = c.maxExecs
 	cfg.ResumeFrom = cf.State
@@ -736,7 +741,7 @@ func (c *cli) resumeCmd(path string) int {
 		fmt.Fprintln(c.stderr, err)
 		return 2
 	}
-	intr, cleanup := interruptOnSignal()
+	intr, cleanup := interruptOnSignal(0)
 	defer cleanup()
 	cfg.Interrupt = intr
 	res := core.Explore(b.Spec(), cfg, b.Progs(b.Orders())[0])

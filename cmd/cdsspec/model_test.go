@@ -88,7 +88,7 @@ func TestModelDiffCLIErrors(t *testing.T) {
 func TestResumeModelMismatchCLI(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "cp.json")
 	var out, errOut strings.Builder
-	if code := run([]string{"explore", "-par", "2", "-max", "100", "-model", "sc", "-checkpoint", cp, "M&S Queue"}, &out, &errOut); code != 0 {
+	if code := run([]string{"explore", "-workers", "2", "-max", "100", "-model", "sc", "-checkpoint", cp, "M&S Queue"}, &out, &errOut); code != 0 {
 		t.Fatalf("explore exited %d: %s", code, errOut.String())
 	}
 	cf, err := harness.ReadCheckpointFile(cp)
@@ -110,7 +110,7 @@ func TestResumeModelMismatchCLI(t *testing.T) {
 
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"resume", "-par", "2", cp}, &out, &errOut); code != 0 {
+	if code := run([]string{"resume", "-workers", "2", cp}, &out, &errOut); code != 0 {
 		t.Fatalf("flagless resume exited %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "exhausted") {

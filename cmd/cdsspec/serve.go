@@ -96,7 +96,7 @@ func (c *cli) submitSpec(benchmark string) service.JobSpec {
 		Benchmark:     benchmark,
 		Model:         string(c.model),
 		MaxExecutions: c.maxExecs,
-		Parallelism:   c.parallelism(),
+		Parallelism:   c.workers,
 		Deadline:      c.deadline,
 	}
 	switch spec.KindOrDefault() {
@@ -260,7 +260,7 @@ func (c *cli) triageCmd(name string) int {
 	if !ok {
 		return 2
 	}
-	intr, cleanup := interruptOnSignal()
+	intr, cleanup := interruptOnSignal(0)
 	defer cleanup()
 	res, err := fuzz.Triage(b.FuzzTarget(), fuzz.TriageConfig{
 		Seed:          c.seed,

@@ -39,7 +39,7 @@ func TestServiceCLIRoundTrip(t *testing.T) {
 	startTestDaemon(t, dir)
 
 	var out, errOut strings.Builder
-	if code := run([]string{"submit", "-state", dir, "-par", "2", "RCU"}, &out, &errOut); code != 0 {
+	if code := run([]string{"submit", "-state", dir, "-workers", "2", "RCU"}, &out, &errOut); code != 0 {
 		t.Fatalf("submit exited %d: %s", code, errOut.String())
 	}
 	id := strings.Fields(out.String())[0]

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,5 +82,22 @@ func TestInterruptRaceWithCompletion(t *testing.T) {
 	case <-intr:
 		t.Fatal("interrupt fired even though the run completed first")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestFastrunTimeFlag: -time arms the interrupt a SIGINT would close,
+// so a run budget that could never finish stops within a few seconds.
+func TestFastrunTimeFlag(t *testing.T) {
+	var out, errOut strings.Builder
+	start := time.Now()
+	code := run([]string{"fastrun", "-time", "50ms", "-max", "1000000000", "M&S Queue"}, &out, &errOut)
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("fastrun -time 50ms ran for %v", took)
+	}
+	if code != 0 {
+		t.Fatalf("fastrun exited %d: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "stopped") {
+		t.Errorf("fastrun cut by -time should report stopped:\n%s", out.String())
 	}
 }

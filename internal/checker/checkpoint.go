@@ -153,18 +153,17 @@ func kindByte(name string) (byte, error) {
 // checkpoint serializes the engine state. Cell results are deep-copied
 // under the fold lock: later coalescing mutates them (failure-index
 // offsets), and the caller may marshal the snapshot at leisure.
-func (e *wsEngine) checkpoint(baseElapsed time.Duration) *Checkpoint {
+func (e *wsEngine) checkpoint() *Checkpoint {
+	var g Stats
+	e.addGauges(&g)
 	cp := &Checkpoint{
 		Schema:      CheckpointSchema,
 		Model:       e.c.Model.OrDefault(),
 		Reduce:      e.c.Reduce,
-		Steals:      int(e.steals.Load()),
-		WorkerBusy:  time.Duration(e.busy.Load()),
-		Elapsed:     baseElapsed + time.Since(e.startTime),
-		MaxFrontier: e.fold.frontierHighWater(),
-	}
-	if e.priorMaxFrontier > cp.MaxFrontier {
-		cp.MaxFrontier = e.priorMaxFrontier
+		Steals:      g.Steals,
+		WorkerBusy:  g.WorkerBusy,
+		Elapsed:     e.elapsed(),
+		MaxFrontier: g.MaxFrontier,
 	}
 	l := e.fold
 	l.mu.Lock()
@@ -217,6 +216,7 @@ func (e *wsEngine) restore(cp *Checkpoint) int {
 		panic(fmt.Sprintf("checker: invalid ResumeFrom checkpoint: %v", err))
 	}
 	e.priorMaxFrontier = cp.MaxFrontier
+	e.baseElapsed = cp.Elapsed
 	e.steals.Store(int64(cp.Steals))
 	e.busy.Store(int64(cp.WorkerBusy))
 	already := 0

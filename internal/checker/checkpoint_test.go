@@ -133,12 +133,12 @@ func TestCheckpointIdentity(t *testing.T) {
 
 // TestProgressAfterResume: a resumed run's snapshots count from the
 // checkpoint's completed work, so the final snapshot equals the Result,
-// as Progress documents. The tracker used to start at zero: this program
-// cut at 10 and resumed reported 18 executions and 14 feasible against
-// the Result's 28 and 24.
+// counts and whole Stats, as Progress documents. A separate tally used to
+// start at zero: this program cut at 10 and resumed reported 18
+// executions and 14 feasible against the Result's 28 and 24.
 func TestProgressAfterResume(t *testing.T) {
 	// Every feasible execution reports a spec-cache hit, and those with
-	// an even action count fail, so every mirrored counter moves.
+	// an even action count fail, so the counts and Stats all move.
 	onExec := func(sys *System) []*Failure {
 		sys.ReportSpecStats(SpecReport{CacheHits: 1})
 		if len(sys.Actions())%2 == 0 {
@@ -164,17 +164,12 @@ func TestProgressAfterResume(t *testing.T) {
 				},
 			}, manyExecProgram)
 			want := Progress{
-				Executions:     res.Executions,
-				Feasible:       res.Feasible,
-				Pruned:         res.Pruned,
-				Failures:       res.FailureCount,
-				SpecCacheHits:  res.Stats.SpecCacheHits,
-				Steals:         res.Stats.Steals,
-				RFEquivPrunes:  res.Stats.RFEquivPrunes,
-				SymmetryPrunes: res.Stats.SymmetryPrunes,
-				SpinloopBounds: res.Stats.SpinloopBounds,
-				RFClasses:      res.Stats.RFClasses,
-				Final:          true,
+				Executions: res.Executions,
+				Feasible:   res.Feasible,
+				Pruned:     res.Pruned,
+				Failures:   res.FailureCount,
+				Stats:      res.Stats,
+				Final:      true,
 			}
 			got := last
 			got.Frontier, got.Elapsed, got.ExecsPerSec, got.ETA = 0, 0, 0, 0

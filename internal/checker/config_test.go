@@ -28,6 +28,7 @@ func TestConfigValidate(t *testing.T) {
 		{"fastmode-checkpoint", Config{FastMode: true, Checkpoint: func(*Checkpoint) {}}, "cannot checkpoint"},
 		{"fastmode-checkpoint-every", Config{FastMode: true, CheckpointEvery: 1}, "cannot checkpoint"},
 		{"fastmode-resume", Config{FastMode: true, ResumeFrom: &Checkpoint{}}, "cannot resume"},
+		{"fastmode-progress", Config{FastMode: true, Progress: func(Progress) {}}, "cannot report Progress"},
 		// Checkpoint-interval misconfigurations: a negative interval used
 		// to fall through every `> 0` guard (behaving as "final snapshot
 		// only" while still forcing the engine), and a positive interval

@@ -73,14 +73,10 @@ type Config struct {
 	// engine at any Parallelism. FastMode honors Parallelism by sharding
 	// its run budget over contiguous index blocks with per-run derived
 	// seeds, so its Result and Stats are bit-identical at any Parallelism
-	// (timings aside). Checkpoint/ResumeFrom apply only to DFS; Interrupt
-	// is honored by both engines.
+	// (timings aside). Checkpoint, ResumeFrom and Progress apply only to
+	// DFS; Interrupt is honored by both engines (a FastMode wall-clock
+	// budget is an Interrupt closed by a timer).
 	FastMode bool
-	// TimeBudget, when positive, stops a FastMode run loop after the
-	// elapsed wall clock exceeds it (checked between runs). With
-	// Parallelism > 1 the cut point is nondeterministic, unlike the
-	// run-budget path.
-	TimeBudget time.Duration
 	// Reduce selects the execution-equivalence reductions (reduce.go):
 	// rf-class subtree pruning over a shared seen-set, thread-symmetry
 	// canonicalization, and spinloop/await bounding. Zero value = no
@@ -153,11 +149,12 @@ type Config struct {
 	// so when Parallelism > 1 the scratch value must be safe for
 	// concurrent use; the CDSSpec cache locks internally.
 	NewScratch func() any
-	// Progress, when set, receives a periodic snapshot of the running
+	// Progress, when set, receives a periodic snapshot of the running DFS
 	// exploration every ProgressInterval, plus a closing snapshot with
-	// Final set whose counts equal the returned Result. It is invoked
-	// from a dedicated goroutine (and, for the final snapshot, from the
-	// Explore caller), never concurrently with itself.
+	// Final set whose counts and Stats equal the returned Result. It is
+	// invoked from the exploration's supervisor goroutine (and, for the
+	// final snapshot, from the Explore caller), never concurrently with
+	// itself or with Checkpoint. FastMode does not report progress.
 	Progress func(Progress)
 	// ProgressInterval is the delivery period for Progress snapshots
 	// (default 1s).
@@ -168,7 +165,8 @@ type Config struct {
 	// Result/Stats accumulated so far (see Checkpoint). It is called
 	// every CheckpointEvery (when positive) and once more after the
 	// workers stop — whether the run completed, hit MaxExecutions, or was
-	// interrupted — never concurrently with itself, at any Parallelism.
+	// interrupted — never concurrently with itself or with Progress, at
+	// any Parallelism.
 	Checkpoint func(*Checkpoint)
 	// CheckpointEvery is the period between Checkpoint snapshots (0 =
 	// only the final snapshot).
@@ -185,13 +183,8 @@ type Config struct {
 	// as the channel is closed (or receives): workers finish their
 	// current execution, the final Checkpoint snapshot is emitted, and
 	// Explore returns the partial Result. Wire a signal handler to it for
-	// SIGINT-driven checkpointing.
+	// SIGINT-driven checkpointing, or a timer for a wall-clock budget.
 	Interrupt <-chan struct{}
-
-	// progress is the live tracker behind the Progress callback, shared
-	// by every worker of this exploration. Explore installs it on its
-	// private withDefaults copy.
-	progress *progressTracker
 	// backend is the resolved consistency backend for Model, installed by
 	// withDefaults and read by every System of the exploration.
 	backend consistency
@@ -211,9 +204,9 @@ type Config struct {
 // The checks reject combinations that earlier versions silently ignored
 // or mishandled: FastMode quietly dropped Checkpoint/ResumeFrom instead
 // of refusing them (FastMode samples independent runs — there is no
-// frontier to checkpoint), and a ResumeFrom explored under another model
-// or reduction set was continued as if it were this Config's, returning
-// a count that belongs to neither space.
+// frontier to checkpoint or to report progress on), and a ResumeFrom
+// explored under another model or reduction set was continued as if it
+// were this Config's, returning a count that belongs to neither space.
 func (c *Config) Validate() error {
 	if !c.Model.OrDefault().Valid() {
 		return fmt.Errorf("checker: unknown memory model %q (valid: %s)", c.Model, strings.Join(model.Names(), ", "))
@@ -224,6 +217,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("checker: FastMode cannot checkpoint — runs are independent samples with no decision frontier; rerun the missing budget instead")
 		case c.ResumeFrom != nil:
 			return fmt.Errorf("checker: FastMode cannot resume a checkpoint — checkpoints hold a DFS frontier, which FastMode does not explore")
+		case c.Progress != nil:
+			return fmt.Errorf("checker: FastMode cannot report Progress — snapshots are a view of the DFS frontier, which FastMode does not explore")
 		case c.Reduce.Any():
 			return fmt.Errorf("checker: FastMode samples plausible executions with no decision tree, so the %s reduction has nothing to prune — drop Reduce or FastMode", c.Reduce)
 		}
@@ -619,15 +614,16 @@ func (r *Result) record(f *Failure, maxFailures int) {
 	}
 }
 
-// runOne performs one execution under ch and folds it into res, using
-// res.Executions as the 1-based execution index. scratch is the shard
+// runOne performs one execution under ch and folds it into res, stamping
+// its failures with res.Executions as the 1-based execution index (the
+// fold offsets it to the exploration-wide index). scratch is the shard
 // state exposed as System.Scratch (nil when Config.NewScratch is unset);
 // pool is the shard's execution pool (nil when pooling is disabled).
 // It reports whether the execution failed.
 func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any, pool *execPool) bool {
 	res.Executions++
 	exploreStart := time.Now()
-	sys := runExecution(c, ch, root, res.Executions, scratch, pool)
+	sys := runExecution(c, ch, root, scratch, pool)
 	res.Stats.ExploreTime += time.Since(exploreStart)
 	res.Stats.TotalSteps += sys.stepCount
 	res.Stats.StoreBufferEvictions += sys.evictions
@@ -635,7 +631,6 @@ func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any,
 	res.Stats.SymmetryPrunes += sys.redSymPrunes
 
 	failed := false
-	failures := 0
 	switch {
 	case sys.pruned:
 		res.Pruned++
@@ -650,9 +645,9 @@ func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any,
 			res.Stats.PrunedSleepSet++
 		}
 	case sys.failure != nil:
+		sys.failure.Execution = res.Executions
 		res.record(sys.failure, c.MaxFailures)
 		failed = true
-		failures = 1
 	default:
 		res.Feasible++
 		sys.noteCompleteExecution()
@@ -676,12 +671,7 @@ func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any,
 				res.record(f, c.MaxFailures)
 			}
 			failed = len(fails) > 0
-			failures = len(fails)
 		}
-	}
-	if c.progress != nil {
-		c.progress.observe(!sys.pruned && sys.failure == nil, sys.pruned, failures, sys.specReport.CacheHits,
-			sys.pruneReason == pruneRFEquiv, sys.redSymPrunes, sys.redSpinBounds)
 	}
 	return failed
 }
@@ -709,13 +699,6 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 		panic(err.Error())
 	}
 	c := cfg.withDefaults()
-	if c.Progress != nil {
-		c.progress = newProgressTracker(c.Progress, c.ProgressInterval, c.MaxExecutions, c.ResumeFrom)
-		if c.rfSeen != nil {
-			c.progress.attachClasses(&c.rfSeen.classes)
-		}
-		defer c.progress.close()
-	}
 	// Engine routing, as documented on Config.FastMode: FastMode, else
 	// the work-stealing DFS engine.
 	if c.FastMode {
@@ -726,12 +709,12 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 
 // runExecution performs a single execution under the given chooser,
 // recycling per-execution state through pool when one is supplied.
-func runExecution(cfg *Config, ch chooser, root func(*Thread), execIndex int, scratch any, pool *execPool) *System {
+func runExecution(cfg *Config, ch chooser, root func(*Thread), scratch any, pool *execPool) *System {
 	var sys *System
 	if pool != nil {
-		sys = pool.take(cfg, ch, execIndex, scratch)
+		sys = pool.take(cfg, ch, scratch)
 	} else {
-		sys = &System{cfg: cfg, chooser: ch, execIndex: execIndex, sleep: newSleepSet(), Scratch: scratch, schedDone: make(chan struct{})}
+		sys = &System{cfg: cfg, chooser: ch, sleep: newSleepSet(), Scratch: scratch, schedDone: make(chan struct{})}
 	}
 	if cfg.OnRunStart != nil {
 		cfg.OnRunStart(sys)
@@ -913,11 +896,10 @@ func (s *System) reportStuck() {
 	}
 	if s.failure == nil {
 		s.failure = &Failure{
-			Kind:      kind,
-			Msg:       msg,
-			Execution: s.execIndex,
-			ActionID:  s.lastActionID(),
-			Trace:     s.TraceString(traceLimit),
+			Kind:     kind,
+			Msg:      msg,
+			ActionID: s.lastActionID(),
+			Trace:    s.TraceString(traceLimit),
 		}
 	}
 	s.aborted = true

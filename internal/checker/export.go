@@ -180,18 +180,16 @@ type ActionJSON struct {
 // the model's relations made explicit, plus the failure it exposed, if
 // any. It is the JSON counterpart of ExportDOT.
 type TraceJSON struct {
-	Execution int          `json:"execution"`
-	Threads   int          `json:"threads"`
-	Actions   []ActionJSON `json:"actions"`
-	Failure   *Failure     `json:"failure,omitempty"`
+	Threads int          `json:"threads"`
+	Actions []ActionJSON `json:"actions"`
+	Failure *Failure     `json:"failure,omitempty"`
 }
 
 // ExportJSON renders the execution as an indented JSON document.
 func ExportJSON(sys *System) ([]byte, error) {
 	t := TraceJSON{
-		Execution: sys.ExecIndex(),
-		Threads:   len(sys.threads),
-		Failure:   sys.Failure(),
+		Threads: len(sys.threads),
+		Failure: sys.Failure(),
 	}
 	for _, a := range sys.Actions() {
 		ja := ActionJSON{

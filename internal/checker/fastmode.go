@@ -137,7 +137,7 @@ func (f *fastChooser) pickThread(s *System, enabled []*Thread) *Thread {
 
 // fastRunBudget returns the number of fast-mode runs: MaxExecutions, or
 // 1000 when unset (fast mode cannot exhaust the execution space, so an
-// unlimited budget would never terminate without a TimeBudget).
+// unlimited budget would never terminate without an Interrupt).
 func (c *Config) fastRunBudget() int {
 	if c.MaxExecutions > 0 {
 		return c.MaxExecutions
@@ -149,9 +149,9 @@ func (c *Config) fastRunBudget() int {
 // blocks, each run draws from its own derived seed, and the blocks merge
 // in order (mergeInto), so the Result is
 // bit-identical (modulo timing fields) across Parallelism settings for a
-// fixed budget. TimeBudget, StopAtFirst and Interrupt cut the run
-// sequence between runs; with Parallelism > 1 the cut point is
-// nondeterministic.
+// fixed budget. StopAtFirst and Interrupt (which also carries a
+// wall-clock budget) cut the run sequence between runs; with
+// Parallelism > 1 the cut point is nondeterministic.
 func exploreFast(c *Config, root func(*Thread)) *Result {
 	res := &Result{}
 	start := time.Now()
@@ -165,10 +165,6 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 	if total <= 0 {
 		return res
 	}
-	var deadline time.Time
-	if c.TimeBudget > 0 {
-		deadline = start.Add(c.TimeBudget)
-	}
 	workers := c.Parallelism
 	if workers < 1 {
 		workers = 1
@@ -177,7 +173,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 		workers = total
 	}
 	if workers == 1 {
-		fastBlock(c, res, root, 0, total, deadline, nil)
+		fastBlock(c, res, root, 0, total, nil)
 		return res
 	}
 	b := newBounds(0, 0)
@@ -193,27 +189,21 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 	runPool(workers, workers, func(w int) {
 		local := &Result{}
 		locals[w] = local
-		fastBlock(c, local, root, starts[w], starts[w+1], deadline, b)
+		fastBlock(c, local, root, starts[w], starts[w+1], b)
 	})
 	mergeInto(res, locals, c.MaxFailures)
 	return res
 }
 
 // fastBlock runs fast-mode run indices [from, to) into res, reseeding
-// the chooser per index. deadline (zero = none) is the TimeBudget cutoff;
-// b (nil when sequential) carries StopAtFirst/TimeBudget cancellation.
-func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, deadline time.Time, b *bounds) {
+// the chooser per index. b (nil when sequential) carries StopAtFirst
+// cancellation.
+func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, b *bounds) {
 	ch := &fastChooser{stats: &res.Stats}
 	pool := newExecPool(c)
 	defer pool.close()
 	for i := from; i < to; i++ {
 		if b != nil && b.stopped() {
-			return
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			if b != nil {
-				b.cancel()
-			}
 			return
 		}
 		if c.Interrupt != nil {

@@ -143,20 +143,27 @@ func TestFastModeStopAtFirst(t *testing.T) {
 	}
 }
 
-// TestFastModeTimeBudget: a wall-clock budget terminates a run budget
-// that could never complete in time.
+// TestFastModeTimeBudget: a wall-clock budget — an Interrupt closed by a
+// timer — terminates a run budget that could never complete in time, at
+// one worker and sharded.
 func TestFastModeTimeBudget(t *testing.T) {
-	res := Explore(Config{
-		FastMode:      true,
-		MaxExecutions: 1 << 30,
-		TimeBudget:    50 * time.Millisecond,
-		Seed:          2,
-	}, manyExecProgram)
-	if res.Executions == 0 {
-		t.Error("time budget cut before the first run")
-	}
-	if res.Executions >= 1<<30 {
-		t.Errorf("time budget ignored: %d executions", res.Executions)
+	for _, par := range []int{1, 4} {
+		intr := make(chan struct{})
+		timer := time.AfterFunc(50*time.Millisecond, func() { close(intr) })
+		res := Explore(Config{
+			FastMode:      true,
+			MaxExecutions: 1 << 30,
+			Parallelism:   par,
+			Interrupt:     intr,
+			Seed:          2,
+		}, manyExecProgram)
+		timer.Stop()
+		if res.Executions == 0 {
+			t.Errorf("parallelism %d: time budget cut before the first run", par)
+		}
+		if res.Executions >= 1<<30 {
+			t.Errorf("parallelism %d: time budget ignored: %d executions", par, res.Executions)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ type foldList struct {
 	head, tail  *foldCell
 	maxFailures int
 	// pending counts outstanding task cells — the live frontier size
-	// (atomic so the progress tracker can read it without the lock).
+	// (atomic so a progress snapshot can read it without the lock).
 	pending     atomic.Int64
 	maxFrontier int
 }
@@ -223,6 +223,21 @@ func (l *foldList) foldResult() *Result {
 	return out
 }
 
+// tally sums the done cells' counts and Stats: the completed work a
+// checkpoint taken now would hold. Unlike foldResult it leaves the cells
+// untouched and copies no failure, only their count.
+func (l *foldList) tally() Result {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out Result
+	for c := l.head; c != nil; c = c.next {
+		if c.res != nil {
+			addCounts(&out, c.res)
+		}
+	}
+	return out
+}
+
 // mergeResults folds src into dst, offsetting src's failure indices by
 // dst's execution count — src's region follows dst's in canonical order.
 // Elapsed is deliberately not folded (wall clock is owned by the
@@ -235,6 +250,11 @@ func mergeResults(dst, src *Result, maxFailures int) {
 	if len(dst.Failures) > maxFailures {
 		dst.Failures = dst.Failures[:maxFailures]
 	}
+	addCounts(dst, src)
+}
+
+// addCounts adds src's counts and Stats to dst.
+func addCounts(dst, src *Result) {
 	dst.Executions += src.Executions
 	dst.Feasible += src.Feasible
 	dst.Pruned += src.Pruned

@@ -14,7 +14,7 @@ import (
 // bounds is the shared execution budget and cancellation state of an
 // exploration's workers.
 type bounds struct {
-	// done is set by cancel (StopAtFirst, TimeBudget).
+	// done is set by cancel (StopAtFirst).
 	done atomic.Bool
 	// max bounds total executions (0 = unlimited); executed counts
 	// reservations made so far and never exceeds max.

@@ -53,7 +53,7 @@ func newExecPool(c *Config) *execPool {
 
 // take returns a System reset for the next execution. The first call
 // builds the shell; later calls rewind it.
-func (p *execPool) take(cfg *Config, ch chooser, execIndex int, scratch any) *System {
+func (p *execPool) take(cfg *Config, ch chooser, scratch any) *System {
 	if p.sys == nil {
 		p.sys = &System{sleep: newSleepSet(), schedDone: make(chan struct{})}
 	}
@@ -75,7 +75,6 @@ func (p *execPool) take(cfg *Config, ch chooser, execIndex int, scratch any) *Sy
 	s.scCount = 0
 	s.storeEpoch = 0
 	s.stepCount = 0
-	s.execIndex = execIndex
 	s.aborted = false
 	s.draining = false
 	s.pruned = false

@@ -156,34 +156,24 @@ func TestProgressFinalSnapshot(t *testing.T) {
 	}
 }
 
-// TestProgressTrackerETA: the rate/ETA math on a tracker driven by hand
-// (interval long enough that the ticker never fires).
+// TestProgressTrackerETA: the snapshot builder copies a Result's counts
+// and Stats and derives the rate and the ETA toward MaxExecutions.
 func TestProgressTrackerETA(t *testing.T) {
-	var finals []Progress
-	tr := newProgressTracker(func(p Progress) { finals = append(finals, p) }, time.Hour, 100, nil)
-	for i := 0; i < 10; i++ {
-		tr.observe(i%2 == 0, i%2 != 0, 0, 0, false, 0, 0)
+	r := &Result{Executions: 10, Feasible: 5, Pruned: 2, FailureCount: 3,
+		Stats: Stats{SpecCacheHits: 2, Steals: 4}}
+	p := newProgress(r, 7, 2*time.Second, 100, true)
+	if p.Executions != 10 || p.Feasible != 5 || p.Pruned != 2 || p.Failures != 3 ||
+		p.Frontier != 7 || p.Stats != r.Stats || !p.Final {
+		t.Errorf("snapshot does not mirror the result: %+v", p)
 	}
-	tr.observe(false, false, 3, 2, false, 0, 0)
-	time.Sleep(time.Millisecond) // ensure a measurable elapsed for the rate
-	p := tr.snapshot(false)
-	if p.Executions != 11 || p.Feasible != 5 || p.Pruned != 5 || p.Failures != 3 {
-		t.Errorf("snapshot counts wrong: %+v", p)
+	if p.ExecsPerSec != 5 {
+		t.Errorf("rate %v, want 10 executions / 2s = 5", p.ExecsPerSec)
 	}
-	if p.ExecsPerSec <= 0 || p.ETA <= 0 {
-		t.Errorf("expected positive rate and ETA toward maxExecs=100: %+v", p)
-	}
-	tr.close()
-	if len(finals) != 1 || !finals[0].Final {
-		t.Fatalf("close must deliver exactly one final snapshot: %+v", finals)
+	if p.ETA != 18*time.Second {
+		t.Errorf("ETA %v, want 90 executions left toward MaxExecutions at 5/s = 18s", p.ETA)
 	}
 	// At the cap there is nothing left to estimate.
-	tr2 := newProgressTracker(func(Progress) {}, time.Hour, 5, nil)
-	for i := 0; i < 5; i++ {
-		tr2.observe(true, false, 0, 0, false, 0, 0)
-	}
-	if p := tr2.snapshot(false); p.ETA != 0 {
+	if p := newProgress(&Result{Executions: 5}, 0, time.Second, 5, false); p.ETA != 0 {
 		t.Errorf("ETA should be zero at MaxExecutions: %+v", p)
 	}
-	tr2.close()
 }

@@ -74,7 +74,6 @@ type System struct {
 	storeEpoch uint64
 	stepCount  int
 
-	execIndex   int
 	aborted     bool
 	pruned      bool
 	pruneReason pruneReason
@@ -147,10 +146,6 @@ func (s *System) Actions() []*memmodel.Action { return s.actions }
 // Failure returns the failure that aborted the execution, if any.
 func (s *System) Failure() *Failure { return s.failure }
 
-// ExecIndex returns the 1-based index of this execution within the
-// exploration.
-func (s *System) ExecIndex() int { return s.execIndex }
-
 // SpecReport carries the per-execution checking statistics the
 // specification layer (which sits above this package and cannot be
 // imported from it) reports from the OnExecution hook: sequential
@@ -197,11 +192,10 @@ const (
 func (s *System) failf(kind FailureKind, format string, args ...any) {
 	if s.failure == nil {
 		s.failure = &Failure{
-			Kind:      kind,
-			Msg:       fmt.Sprintf(format, args...),
-			Execution: s.execIndex,
-			ActionID:  s.lastActionID(),
-			Trace:     s.TraceString(traceLimit),
+			Kind:     kind,
+			Msg:      fmt.Sprintf(format, args...),
+			ActionID: s.lastActionID(),
+			Trace:    s.TraceString(traceLimit),
 		}
 	}
 	s.aborted = true

@@ -379,10 +379,9 @@ func (t *Thread) run() {
 				// scheduler side rather than crashing the process
 				// with a half-useful goroutine dump.
 				t.sys.failure = &Failure{
-					Kind:      FailAssertion,
-					Msg:       fmt.Sprintf("panic in thread %d (%s): %v", t.id, t.name, r),
-					Execution: t.sys.execIndex,
-					ActionID:  t.sys.lastActionID(),
+					Kind:     FailAssertion,
+					Msg:      fmt.Sprintf("panic in thread %d (%s): %v", t.id, t.name, r),
+					ActionID: t.sys.lastActionID(),
 				}
 				t.sys.aborted = true
 			}

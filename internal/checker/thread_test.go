@@ -158,6 +158,16 @@ func TestNoGoroutineOutlivesExplore(t *testing.T) {
 		}
 		return cfg
 	}
+	// allHooks arms the supervisor's three channels: an Interrupt that
+	// never fires and both snapshot tickers.
+	allHooks := func(cfg Config) Config {
+		cfg.Interrupt = make(chan struct{})
+		cfg.Progress = func(Progress) {}
+		cfg.ProgressInterval = time.Millisecond
+		cfg.Checkpoint = func(*Checkpoint) {}
+		cfg.CheckpointEvery = time.Millisecond
+		return cfg
+	}
 	base := runtime.NumGoroutine()
 	for _, tc := range []struct {
 		name string
@@ -167,6 +177,7 @@ func TestNoGoroutineOutlivesExplore(t *testing.T) {
 	}{
 		{"dfs-1", Config{}, manyExecProgram, func(r *Result) bool { return r.Exhausted }},
 		{"dfs-4", Config{Parallelism: 4}, manyExecProgram, func(r *Result) bool { return r.Exhausted }},
+		{"dfs-4-hooks", allHooks(Config{Parallelism: 4}), manyExecProgram, func(r *Result) bool { return r.Exhausted }},
 		{"fast-1", Config{FastMode: true, MaxExecutions: 50}, manyExecProgram, func(r *Result) bool { return r.Executions == 50 }},
 		{"fast-3", Config{FastMode: true, MaxExecutions: 50, Parallelism: 3}, manyExecProgram, func(r *Result) bool { return r.Executions == 50 }},
 		{"max-executions", Config{MaxExecutions: 3}, manyExecProgram, func(r *Result) bool { return r.Executions == 3 && !r.Exhausted }},

@@ -55,12 +55,13 @@ type wsEngine struct {
 		done    bool
 	}
 
-	// resumed engine-level counters (frontier high-water mark of the
-	// prior run segments).
+	// priorMaxFrontier is the frontier high-water mark of the resumed
+	// run segments.
 	priorMaxFrontier int
-	// startTime anchors this segment's wall clock (checkpoints add the
-	// resumed base on top).
-	startTime time.Time
+	// startTime anchors this segment's wall clock; baseElapsed is the
+	// resumed segments' wall clock (see elapsed).
+	startTime   time.Time
+	baseElapsed time.Duration
 }
 
 // wsWorker is one worker's private state.
@@ -98,10 +99,8 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 	}
 
 	already := 0
-	var baseElapsed time.Duration
 	if cp := c.ResumeFrom; cp != nil {
 		already = e.restore(cp)
-		baseElapsed = cp.Elapsed
 	} else {
 		rootTask := &wsTask{}
 		e.fold.appendCell(&foldCell{task: rootTask})
@@ -109,44 +108,20 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		e.unfinished.Store(1)
 	}
 	e.b = newBounds(c.MaxExecutions, already)
-	if c.progress != nil {
-		c.progress.attachEngine(&e.steals, &e.fold.pending)
-	}
 	if e.unfinished.Load() == 0 {
 		// Resumed a completed run: nothing outstanding.
 		e.lot.done = true
 	}
 
-	watcherStop := make(chan struct{})
-	var watchers sync.WaitGroup
-	if c.Interrupt != nil {
-		watchers.Add(1)
+	quit := make(chan struct{})
+	var supervisor sync.WaitGroup
+	if c.Interrupt != nil || c.Progress != nil || c.CheckpointEvery > 0 {
+		supervisor.Add(1)
 		go func() {
-			defer watchers.Done()
-			select {
-			case <-c.Interrupt:
-				e.requestStop()
-			case <-watcherStop:
-			}
+			defer supervisor.Done()
+			e.supervise(quit)
 		}()
 	}
-	if c.Checkpoint != nil && c.CheckpointEvery > 0 {
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			tick := time.NewTicker(c.CheckpointEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					c.Checkpoint(e.checkpoint(baseElapsed))
-				case <-watcherStop:
-					return
-				}
-			}
-		}()
-	}
-
 	// Worker 0 runs on the calling goroutine.
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -158,30 +133,20 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 	}
 	e.worker(0)
 	wg.Wait()
-	close(watcherStop)
-	watchers.Wait()
+	// The closing hooks below run on this goroutine once the supervisor
+	// has exited, so no hook ever overlaps another.
+	close(quit)
+	supervisor.Wait()
 
 	if c.Checkpoint != nil {
 		// Final snapshot: with a drained frontier it is a single done
 		// cell (resuming it just returns the result); otherwise it is the
 		// outstanding frontier a resumed run continues from.
-		c.Checkpoint(e.checkpoint(baseElapsed))
+		c.Checkpoint(e.checkpoint())
 	}
 
 	res := e.fold.foldResult()
-	res.Stats.Steals += int(e.steals.Load())
-	if hw := e.fold.frontierHighWater(); hw > res.Stats.MaxFrontier {
-		res.Stats.MaxFrontier = hw
-	}
-	if e.priorMaxFrontier > res.Stats.MaxFrontier {
-		res.Stats.MaxFrontier = e.priorMaxFrontier
-	}
-	res.Stats.WorkerBusy += time.Duration(e.busy.Load())
-	if c.rfSeen != nil {
-		// The class count lives in the shared registry, not in the folded
-		// per-execution results; the workers have all stopped here.
-		res.Stats.RFClasses = int(c.rfSeen.classes.Load())
-	}
+	e.addGauges(&res.Stats)
 	// Exhausted is true only when the frontier drained without a stop and
 	// without consuming the entire execution budget: a run whose budget
 	// equals the size of its space is reported as cut short, because the
@@ -192,8 +157,65 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 	// restored from the checkpoint. It is never a sum of per-worker
 	// timings (which can exceed wall clock by a factor of Parallelism);
 	// the Stats timing fields, by contrast, are cumulative across workers.
-	res.Elapsed = baseElapsed + time.Since(e.startTime)
+	res.Elapsed = e.elapsed()
+	if c.Progress != nil {
+		c.Progress(newProgress(res, e.fold.pendingCount(), res.Elapsed, c.MaxExecutions, true))
+	}
 	return res
+}
+
+// supervise is the exploration's one helper goroutine, started when any
+// asynchronous hook is set. It turns Config.Interrupt into a graceful
+// stop and delivers the periodic Checkpoint and Progress snapshots, one
+// at a time, until quit closes.
+func (e *wsEngine) supervise(quit <-chan struct{}) {
+	c := e.c
+	intr := c.Interrupt
+	var checkpoints, snapshots <-chan time.Time
+	if c.CheckpointEvery > 0 {
+		t := time.NewTicker(c.CheckpointEvery)
+		defer t.Stop()
+		checkpoints = t.C
+	}
+	if c.Progress != nil {
+		t := time.NewTicker(c.ProgressInterval)
+		defer t.Stop()
+		snapshots = t.C
+	}
+	for {
+		select {
+		case <-quit:
+			return
+		case <-intr:
+			e.requestStop()
+			intr = nil // a closed channel stays ready; stop once
+		case <-checkpoints:
+			c.Checkpoint(e.checkpoint())
+		case <-snapshots:
+			c.Progress(e.progress())
+		}
+	}
+}
+
+// elapsed is the exploration's wall clock so far, resumed segments
+// included.
+func (e *wsEngine) elapsed() time.Duration {
+	return e.baseElapsed + time.Since(e.startTime)
+}
+
+// addGauges adds to s the engine-level telemetry that no fold-list cell
+// holds: steals, worker busy time, the frontier high-water mark (resumed
+// segments included) and the rf seen-set's class count. Checkpoints, the
+// periodic snapshots and the final Result all read the gauges through it.
+func (e *wsEngine) addGauges(s *Stats) {
+	s.Steals += int(e.steals.Load())
+	s.WorkerBusy += time.Duration(e.busy.Load())
+	s.MaxFrontier = max(s.MaxFrontier, e.fold.frontierHighWater(), e.priorMaxFrontier)
+	if e.c.rfSeen != nil {
+		// The class count lives in the shared registry, not in the
+		// per-execution results.
+		s.RFClasses = int(e.c.rfSeen.classes.Load())
+	}
 }
 
 // worker is one scheduler loop: drain the own deque bottom-first, then

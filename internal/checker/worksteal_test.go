@@ -435,11 +435,84 @@ func TestProgressStealsAndFrontier(t *testing.T) {
 	if final.Frontier != 0 {
 		t.Errorf("drained run should report frontier 0, got %d", final.Frontier)
 	}
-	if final.Steals != res.Stats.Steals {
-		t.Errorf("final snapshot steals %d, want %d", final.Steals, res.Stats.Steals)
+	if final.Stats.Steals != res.Stats.Steals {
+		t.Errorf("final snapshot steals %d, want %d", final.Stats.Steals, res.Stats.Steals)
 	}
 	if final.ETA != 0 {
 		t.Errorf("unbounded run must report zero ETA, got %v", final.ETA)
+	}
+}
+
+// TestSupervisorHooks: one supervisor goroutine serves Interrupt,
+// Checkpoint and Progress. The hooks never overlap; every snapshot is a
+// view of the fold list — never decreasing, never past the final one, its
+// counts and Stats summed over the same completed regions — and the last
+// checkpoint of the interrupted run resumes to the uninterrupted Result.
+func TestSupervisorHooks(t *testing.T) {
+	// One spec-cache hit per feasible execution; the sleep spreads the
+	// run over enough ticks for the interrupt to land mid-exploration.
+	onExec := func(sys *System) []*Failure {
+		sys.ReportSpecStats(SpecReport{CacheHits: 1})
+		time.Sleep(time.Millisecond)
+		return nil
+	}
+	full := Explore(Config{OnExecution: onExec}, manyExecProgram)
+	for _, par := range []int{1, 4} {
+		name := fmt.Sprintf("parallelism %d", par)
+		// inHook is a plain counter on purpose: under -race, overlapping
+		// hooks are a data race on it as well as a count above one.
+		inHook := 0
+		enter := func() {
+			if inHook++; inHook != 1 {
+				t.Errorf("%s: hooks overlap", name)
+			}
+		}
+		intr := make(chan struct{})
+		var snaps []Progress
+		var last *Checkpoint
+		res := Explore(Config{
+			Parallelism:      par,
+			OnExecution:      onExec,
+			Interrupt:        intr,
+			ProgressInterval: time.Millisecond,
+			Progress: func(p Progress) {
+				enter()
+				defer func() { inHook-- }()
+				if snaps = append(snaps, p); len(snaps) == 3 {
+					close(intr)
+				}
+			},
+			CheckpointEvery: time.Millisecond,
+			Checkpoint: func(cp *Checkpoint) {
+				enter()
+				defer func() { inHook-- }()
+				last = cp
+			},
+		}, manyExecProgram)
+
+		final := snaps[len(snaps)-1]
+		if !final.Final {
+			t.Fatalf("%s: last snapshot not Final: %+v", name, final)
+		}
+		prev := 0
+		for i, p := range snaps {
+			if p.Stats.SpecCacheHits != p.Feasible {
+				t.Errorf("%s: snapshot %d counts %d cache hits for %d feasible executions", name, i, p.Stats.SpecCacheHits, p.Feasible)
+			}
+			if p.Final {
+				continue
+			}
+			if p.Executions < prev || p.Executions > final.Executions {
+				t.Errorf("%s: snapshot %d at %d executions, after %d and with %d final", name, i, p.Executions, prev, final.Executions)
+			}
+			prev = p.Executions
+		}
+		if final.Executions != res.Executions || final.Feasible != res.Feasible ||
+			final.Pruned != res.Pruned || final.Failures != res.FailureCount || final.Stats != res.Stats {
+			t.Errorf("%s: final snapshot %+v does not equal the result %v %+v", name, final, res, res.Stats)
+		}
+		resumed := Explore(Config{OnExecution: onExec, ResumeFrom: last}, manyExecProgram)
+		requireIdentical(t, name, full, resumed)
 	}
 }
 

@@ -619,8 +619,8 @@ type Metrics struct {
 	// latest progress; ExecsPerSec sums running jobs' current rates.
 	Executions  int     `json:"executions"`
 	ExecsPerSec float64 `json:"execs_per_sec"`
-	// Steals / WorkerBusy / spec-cache counters aggregate the scheduler
-	// telemetry the same way.
+	// Steals / WorkerBusy / spec-cache counters aggregate the Stats the
+	// same way: a finished job's summary, a running job's progress.
 	Steals          int           `json:"steals"`
 	WorkerBusy      time.Duration `json:"worker_busy_ns"`
 	SpecCacheHits   int           `json:"spec_cache_hits"`
@@ -648,21 +648,21 @@ func (s *Server) Metrics() Metrics {
 	}
 	for _, j := range s.order {
 		m.JobsByState[string(j.state)]++
-		if j.summary != nil {
+		var st *checker.Stats
+		switch {
+		case j.summary != nil:
 			m.Executions += j.summary.Executions
-			if st := j.summary.Stats; st != nil {
-				m.Steals += st.Steals
-				m.WorkerBusy += st.WorkerBusy
-				m.SpecCacheHits += st.SpecCacheHits
-				m.SpecCacheMisses += st.SpecCacheMisses
-			}
-			continue
-		}
-		if j.state == StateRunning && j.progress != nil {
+			st = j.summary.Stats
+		case j.state == StateRunning && j.progress != nil:
 			m.Executions += j.progress.Executions
 			m.ExecsPerSec += j.progress.ExecsPerSec
-			m.Steals += j.progress.Steals
-			m.SpecCacheHits += j.progress.SpecCacheHits
+			st = &j.progress.Stats
+		}
+		if st != nil {
+			m.Steals += st.Steals
+			m.WorkerBusy += st.WorkerBusy
+			m.SpecCacheHits += st.SpecCacheHits
+			m.SpecCacheMisses += st.SpecCacheMisses
 		}
 	}
 	if total := m.SpecCacheHits + m.SpecCacheMisses; total > 0 {

@@ -324,6 +324,28 @@ func TestServiceWatch(t *testing.T) {
 	}
 }
 
+// TestServiceMetricsRunningJobs: the metrics read a running job's
+// progress Stats the way they read a finished job's summary. They used to
+// add a running job's spec-cache hits but none of its misses or busy
+// time, so any running job pushed the hit rate to 100%.
+func TestServiceMetricsRunningJobs(t *testing.T) {
+	running := &job{id: "j000001", state: StateRunning, progress: &checker.Progress{
+		Executions: 10, ExecsPerSec: 100,
+		Stats: checker.Stats{SpecCacheHits: 3, SpecCacheMisses: 1, Steals: 2, WorkerBusy: time.Second},
+	}}
+	done := &job{id: "j000002", state: StateDone, summary: &Summary{
+		Executions: 20,
+		Stats:      &checker.Stats{SpecCacheHits: 1, SpecCacheMisses: 3, Steals: 5, WorkerBusy: 2 * time.Second},
+	}}
+	m := (&Server{order: []*job{running, done}}).Metrics()
+	if m.SpecCacheHits != 4 || m.SpecCacheMisses != 4 || m.CacheHitRate != 50 {
+		t.Errorf("spec cache: %d hits, %d misses, %d%%; want 4, 4, 50%%", m.SpecCacheHits, m.SpecCacheMisses, m.CacheHitRate)
+	}
+	if m.Executions != 30 || m.ExecsPerSec != 100 || m.Steals != 7 || m.WorkerBusy != 3*time.Second {
+		t.Errorf("metrics %+v, want 30 executions at 100/s, 7 steals, 3s busy", m)
+	}
+}
+
 // TestServiceDrainResume: the in-process half of the restart-recovery
 // contract. Drain a daemon mid-exploration (job suspends with a
 // checkpoint), reopen the same state directory, and the resumed job's
