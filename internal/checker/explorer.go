@@ -132,7 +132,10 @@ type Config struct {
 	storeBound int
 
 	// OnRunStart runs at the start of every execution, before the root
-	// thread. It typically installs the spec monitor in sys.Aux.
+	// thread. It typically installs the spec monitor in sys.Aux. Under
+	// execution pooling sys.Aux still holds what the worker's previous
+	// execution left there (nil on its first), so the hook can reset and
+	// reuse it instead of allocating.
 	OnRunStart func(sys *System)
 	// OnExecution runs after every feasible (completed) execution and
 	// returns any specification failures found in it.
@@ -714,7 +717,7 @@ func runExecution(cfg *Config, ch chooser, root func(*Thread), scratch any, pool
 	if pool != nil {
 		sys = pool.take(cfg, ch, scratch)
 	} else {
-		sys = &System{cfg: cfg, chooser: ch, sleep: newSleepSet(), Scratch: scratch, schedDone: make(chan struct{})}
+		sys = &System{cfg: cfg, chooser: ch, Scratch: scratch, schedDone: make(chan struct{})}
 	}
 	if cfg.OnRunStart != nil {
 		cfg.OnRunStart(sys)
@@ -804,13 +807,16 @@ func (s *System) allFinished() bool {
 // wakeLastResort re-enables yielded spinners when nothing else can run:
 // a spinner that then makes no state change is not retried at the same
 // epoch, which both guarantees termination and detects livelocks.
+// nextThread calls it only when no thread is enabled, so the candidates
+// reuse enabledBuf.
 func (s *System) wakeLastResort() *Thread {
-	var cands []*Thread
+	cands := s.enabledBuf[:0]
 	for _, t := range s.threads {
 		if t.state == tsYield && t.lastResortEpoch != s.storeEpoch {
 			cands = append(cands, t)
 		}
 	}
+	s.enabledBuf = cands
 	if len(cands) == 0 {
 		return nil
 	}

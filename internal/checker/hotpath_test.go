@@ -2,15 +2,19 @@ package checker_test
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/checker"
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/memmodel"
 )
 
 // These tests drive each paper benchmark's primary unit test through the
-// bare checker: no spec monitor is attached, so they exercise the
-// memory-model kernel alone.
+// bare checker, which exercises the memory-model kernel alone, and
+// through core.Explore, which adds the spec monitor and the spec cache.
 
 // hotPathCap bounds the two workloads whose full trees are too large to
 // explore twice per test run (159 076 and 84 435 executions). The other
@@ -25,6 +29,15 @@ var hotPathCap = map[string]int{
 // optimization off leaves each paper benchmark's Result unchanged:
 // Executions, Feasible, Pruned, the failure list and every non-timing
 // Stats counter.
+//
+// The spec leg does the same through core.Explore. With pooling on, each
+// worker records every execution into one reused Monitor and its Call
+// records; with it off, every execution gets a fresh System and so a
+// fresh Monitor, the reference. The per-execution spec fingerprints and
+// the Result, whose Stats carry the spec counters (histories,
+// admissibility checks, justify searches, cache hits, misses and
+// entries), must agree: in order at one worker, and as sorted lists at
+// four, where several workers share each shard's spec cache.
 func TestKernelOptsPaperBenchmarks(t *testing.T) {
 	for _, b := range harness.Benchmarks() {
 		t.Run(b.Name, func(t *testing.T) {
@@ -38,7 +51,89 @@ func TestKernelOptsPaperBenchmarks(t *testing.T) {
 			if !reflect.DeepEqual(on, off) {
 				t.Errorf("Result differs with the optimizations off:\n on:  %+v\n off: %+v", on, off)
 			}
+			_, capped := hotPathCap[b.Name]
+			checkSpecLeg(t, b.Spec, cfg, prog, !capped)
 		})
+	}
+	// A call slot's method and aux keys differ between executions: which
+	// thread begins first decides whether call 0 is "w" or "r", and "r"
+	// sets an aux value only when its load reads 1. A reused Call record
+	// that kept a previous execution's aux values or ordering points
+	// would change the fingerprints.
+	t.Run("call-slot-varies", func(t *testing.T) {
+		spec := func() *core.Spec {
+			return &core.Spec{
+				Name:     "slots",
+				NewState: func() core.State { return nil },
+				Methods:  map[string]*core.MethodSpec{"w": {}, "r": {}},
+			}
+		}
+		prog := func(root *checker.Thread) {
+			mon := core.Of(root)
+			x := root.NewAtomicInit("x", 0)
+			w := root.Spawn("w", func(tt *checker.Thread) {
+				c := mon.Begin(tt, "w", 1)
+				x.Store(tt, memmodel.Release, 1)
+				c.OPDefine(tt, true)
+				c.EndVoid(tt)
+			})
+			r := root.Spawn("r", func(tt *checker.Thread) {
+				c := mon.Begin(tt, "r")
+				v := x.Load(tt, memmodel.Acquire)
+				c.OPDefine(tt, true)
+				if v == 1 {
+					c.SetAux("saw", v)
+				}
+				c.End(tt, v)
+			})
+			root.Join(w)
+			root.Join(r)
+		}
+		checkSpecLeg(t, spec, checker.Config{}, prog, true)
+	})
+}
+
+// checkSpecLeg explores prog against spec with the kernel optimizations
+// on and off and compares the Results and the per-execution spec
+// fingerprints, at one worker and, when parallel is set, at four.
+func checkSpecLeg(t *testing.T, spec func() *core.Spec, cfg checker.Config, prog func(*checker.Thread), parallel bool) {
+	t.Helper()
+	run := func(cfg checker.Config) (checker.Result, []uint64) {
+		var mu sync.Mutex
+		var fps []uint64
+		cfg.OnExecution = func(sys *checker.System) []*checker.Failure {
+			fp := core.FromSys(sys).Fingerprint()
+			mu.Lock()
+			fps = append(fps, fp)
+			mu.Unlock()
+			return nil
+		}
+		return checker.NormalizeResult(core.Explore(spec(), cfg, prog)), fps
+	}
+	on, onFPs := run(cfg)
+	off, offFPs := run(checker.KernelOptsOff(cfg))
+	if on.Feasible == 0 || len(onFPs) != on.Feasible {
+		t.Fatalf("spec leg: %d fingerprints for %d feasible executions", len(onFPs), on.Feasible)
+	}
+	if !reflect.DeepEqual(on, off) {
+		t.Errorf("spec leg: Result differs with the optimizations off:\n on:  %+v\n off: %+v", on, off)
+	}
+	if !slices.Equal(onFPs, offFPs) {
+		t.Errorf("spec leg: fingerprint sequences differ with the optimizations off")
+	}
+	if !parallel {
+		return
+	}
+	cfg.Parallelism = 4
+	on4, on4FPs := run(cfg)
+	off4, off4FPs := run(checker.KernelOptsOff(cfg))
+	if !reflect.DeepEqual(on4, off4) {
+		t.Errorf("spec leg, 4 workers: Result differs with the optimizations off:\n on:  %+v\n off: %+v", on4, off4)
+	}
+	slices.Sort(on4FPs)
+	slices.Sort(off4FPs)
+	if !slices.Equal(on4FPs, off4FPs) {
+		t.Errorf("spec leg, 4 workers: fingerprint sets differ with the optimizations off")
 	}
 }
 

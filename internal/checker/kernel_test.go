@@ -282,6 +282,39 @@ func TestPooledExecutionIsolation(t *testing.T) {
 	}
 }
 
+// TestPooledExecutionAllocs: on a warmed execPool, a branch-free
+// execution allocates nothing — the System shell, threads and their
+// goroutines, locations and their handles, actions, clock snapshots,
+// finish clocks and the sleep set are all recycled. The program creates
+// an atomic and a plain location, then spawns and joins a thread that
+// stores to the atomic; the child's function is built once, outside the
+// measured runs.
+func TestPooledExecutionAllocs(t *testing.T) {
+	c := (&Config{}).withDefaults()
+	pool := newExecPool(c)
+	defer pool.close()
+	d := newDFSChooser(c)
+	var x *Atomic
+	store := func(tt *Thread) { x.Store(tt, memmodel.Release, 1) }
+	prog := func(root *Thread) {
+		x = root.NewAtomicInit("x", 0)
+		p := root.NewPlain("p")
+		p.Store(root, 1)
+		root.Join(root.Spawn("w", store))
+	}
+	var sys *System
+	run := func() { sys = runExecution(c, d, prog, nil, pool) }
+	run()
+	allocs := testing.AllocsPerRun(100, run)
+	if sys.failure != nil || sys.pruned || len(d.decisions) != 0 {
+		t.Fatalf("program did not run branch-free to completion: failure %v, pruned %v, %d decisions",
+			sys.failure, sys.pruned, len(d.decisions))
+	}
+	if allocs != 0 {
+		t.Errorf("a pooled execution allocated %.0f times, want 0", allocs)
+	}
+}
+
 // BenchmarkKernelVisibleFloor measures the visibility-floor hot path —
 // the load-history program is floor-computation bound (every load
 // consults store floors, read-read coherence, and release clocks).

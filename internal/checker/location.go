@@ -119,6 +119,12 @@ type location struct {
 	// for programs that never mix.
 	rawReadSeq  []uint32
 	rawWriteSeq []uint32
+
+	// atomicH and plainH are the handles newAtomic and newPlain return
+	// for this location. Like the location, a handle is valid only within
+	// the execution that created it.
+	atomicH Atomic
+	plainH  Plain
 }
 
 // moNext returns the absolute mo index the next store will get (one past
@@ -192,7 +198,6 @@ func (l *location) reset() {
 // through a *Thread so the checker can schedule and record them.
 type Atomic struct {
 	loc *location
-	sys *System
 }
 
 // Name returns the debug name of the location.
@@ -202,7 +207,6 @@ func (a *Atomic) Name() string { return a.loc.name }
 // detection.
 type Plain struct {
 	loc *location
-	sys *System
 }
 
 // Name returns the debug name of the location.

@@ -4,26 +4,29 @@ import (
 	"repro/internal/memmodel"
 )
 
-// execPool recycles the per-execution state of one exploration shard —
-// the System shell, thread structs, locations, actions, and clock
+// execPool recycles the per-execution state of one worker — the System
+// shell, thread structs, locations and their handles, actions, and clock
 // snapshots — so replaying millions of executions allocates (amortized)
 // nothing per execution instead of rebuilding everything from scratch.
 //
-// A pool is single-threaded: it belongs to exactly one shard (the unit
-// of single-threaded exploration — see Config.NewScratch), the same way
-// a Scratch value does. Pooling is invisible to results: a pooled run is
-// bit-identical to an unpooled one (pinned by tests), because every
-// recycled object is fully reset or fully overwritten before reuse.
+// A pool is single-threaded: it belongs to exactly one engine worker
+// (wsEngine.worker) or one fastBlock, which runs one execution at a time
+// through it. It is not per shard: several workers may explore one
+// shard, each through its own pool, while they share the shard's Scratch
+// value. Pooling is invisible to results: a pooled run is bit-identical
+// to an unpooled one (pinned by tests), because every recycled object is
+// fully reset or fully overwritten before reuse.
 //
 // The load-bearing invariant is *lifetime*: pointers into pooled state —
-// *memmodel.Action, Action.Clock, storeRec.sync — are valid only within
-// the execution that produced them. Everything the checker retains
-// across executions already obeys this (Failure renders its trace to a
-// string at creation time; Result holds no actions), and the spec layer
-// above keeps only derived data (fingerprints, counters) in its
-// cross-execution caches. The test-only Config.disablePooling switch
-// turns pooling off, as the unpooled reference run the tests compare
-// against.
+// *memmodel.Action, Action.Clock, storeRec.sync, *Atomic and *Plain
+// handles — are valid only until the worker's next execution starts.
+// Everything the checker retains across executions already obeys this
+// (Failure renders its trace to a string at creation time; Result holds
+// no actions), and the spec layer above keeps only derived data
+// (fingerprints, counters) in its cross-execution caches. System.Aux is
+// the one slot take leaves alone: the spec layer keeps its monitor there
+// and resets it itself. The test-only Config.disablePooling switch turns
+// pooling off, as the unpooled reference run the tests compare against.
 type execPool struct {
 	sys *System
 
@@ -42,7 +45,7 @@ type execPool struct {
 	clkIdx int
 }
 
-// newExecPool returns an empty pool for one shard, or nil when pooling
+// newExecPool returns an empty pool for one worker, or nil when pooling
 // is disabled — every use site treats a nil pool as "allocate fresh".
 func newExecPool(c *Config) *execPool {
 	if c.disablePooling {
@@ -52,10 +55,11 @@ func newExecPool(c *Config) *execPool {
 }
 
 // take returns a System reset for the next execution. The first call
-// builds the shell; later calls rewind it.
+// builds the shell; later calls rewind it, except Aux, which keeps the
+// value the previous execution's OnRunStart hook left there.
 func (p *execPool) take(cfg *Config, ch chooser, scratch any) *System {
 	if p.sys == nil {
-		p.sys = &System{sleep: newSleepSet(), schedDone: make(chan struct{})}
+		p.sys = &System{schedDone: make(chan struct{})}
 	}
 	s := p.sys
 	if cfg.FastMode {
@@ -91,7 +95,6 @@ func (p *execPool) take(cfg *Config, ch chooser, scratch any) *System {
 	s.evictions = 0
 	s.specReport = SpecReport{}
 	s.sleep.clear()
-	s.Aux = nil
 	s.Scratch = scratch
 	s.pool = p
 	p.actIdx = 0

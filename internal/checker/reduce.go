@@ -535,9 +535,9 @@ func (s *System) stateFingerprint(kind byte, active *Thread, loc *location) fpKe
 // system's scratch buffer — seenPrefix copies what it keeps.
 func (s *System) sleepSignature() []uint64 {
 	buf := s.fpSleepBuf[:0]
-	for tid, sig := range s.sleep.m {
-		ra, rb := s.sleepResource(sig)
-		e := fpEntry(s.canonOf(tid), uint64(sig.class), ra, rb, boolW(sig.write), boolW(sig.sc))
+	for _, z := range s.sleep {
+		ra, rb := s.sleepResource(z.sig)
+		e := fpEntry(s.canonOf(z.tid), uint64(z.sig.class), ra, rb, boolW(z.sig.write), boolW(z.sig.sc))
 		buf = append(buf, e.a^e.b)
 	}
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })

@@ -77,28 +77,49 @@ func dependent(a, b pendSig) bool {
 // next operation was already explored in an earlier sibling, and running
 // them now would reproduce an equivalent interleaving. A sleeping thread
 // wakes when a dependent operation executes.
-type sleepSet struct {
-	m map[int]pendSig
+//
+// The set is a slice of (thread id, pending-op signature) pairs: it holds
+// at most one entry per thread (maxThreads), and every visible operation
+// calls wake, so an empty set must cost a length check, not a map
+// iteration. The zero value is an empty set.
+type sleepSet []sleeper
+
+type sleeper struct {
+	tid int
+	sig pendSig
 }
 
-func newSleepSet() *sleepSet { return &sleepSet{m: map[int]pendSig{}} }
+// clear empties the set in place, so a pooled execution reuses its
+// backing array.
+func (s *sleepSet) clear() { *s = (*s)[:0] }
 
-// clear empties the set in place, so a pooled execution reuses the map.
-func (s *sleepSet) clear() { clear(s.m) }
-
-func (s *sleepSet) sleep(tid int, sig pendSig) { s.m[tid] = sig }
+func (s *sleepSet) sleep(tid int, sig pendSig) {
+	for i := range *s {
+		if (*s)[i].tid == tid {
+			(*s)[i].sig = sig
+			return
+		}
+	}
+	*s = append(*s, sleeper{tid, sig})
+}
 
 func (s *sleepSet) asleep(tid int) bool {
-	_, ok := s.m[tid]
-	return ok
+	for _, e := range *s {
+		if e.tid == tid {
+			return true
+		}
+	}
+	return false
 }
 
 // wake removes every sleeper whose pending operation is dependent with
 // the operation that just executed.
 func (s *sleepSet) wake(executed pendSig) {
-	for tid, sig := range s.m {
-		if dependent(sig, executed) {
-			delete(s.m, tid)
+	kept := (*s)[:0]
+	for _, e := range *s {
+		if !dependent(e.sig, executed) {
+			kept = append(kept, e)
 		}
 	}
+	*s = kept
 }

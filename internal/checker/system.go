@@ -60,7 +60,7 @@ type System struct {
 	cfg     *Config
 	chooser chooser
 	// pool, when non-nil, recycles threads/locations/actions/clocks
-	// across the executions of one shard (see pool.go).
+	// across the executions of one worker (see pool.go).
 	pool *execPool
 
 	threads []*Thread
@@ -127,16 +127,20 @@ type System struct {
 	specReport SpecReport
 
 	// sleep is the sleep set of the current exploration subtree.
-	sleep *sleepSet
+	sleep sleepSet
 
 	// Aux carries per-execution state for higher layers (the CDSSpec
-	// monitor installs itself here from the OnRunStart hook).
+	// monitor installs itself here from the OnRunStart hook). A pooled
+	// System keeps Aux from one of its worker's executions to the next,
+	// so the hook can reset and reuse what it finds there; an unpooled
+	// System starts every execution with Aux nil. Either way only one
+	// execution at a time sees a given Aux value.
 	Aux any
 	// Scratch carries per-shard state created by Config.NewScratch (the
-	// CDSSpec layer keeps its spec-check memoization cache here). Unlike
-	// Aux it outlives the execution: every execution of one exploration
-	// shard sees the same value. Only the shard's own (single) goroutine
-	// touches it, so no locking is needed.
+	// CDSSpec layer keeps its spec-check memoization cache here): every
+	// execution of one exploration shard sees the same value. Several
+	// workers may explore one shard concurrently, so the value must be
+	// safe for concurrent use (see Config.NewScratch).
 	Scratch any
 }
 
@@ -261,12 +265,18 @@ func (s *System) newThread(name string, fn func(*Thread), src *memmodel.ClockVec
 	return t
 }
 
+// newAtomic and newPlain return the handle embedded in the new location,
+// so a pooled location hands out its handle without allocating.
 func (s *System) newAtomic(name string) *Atomic {
-	return &Atomic{loc: s.newLocation(name, true), sys: s}
+	l := s.newLocation(name, true)
+	l.atomicH.loc = l
+	return &l.atomicH
 }
 
 func (s *System) newPlain(name string) *Plain {
-	return &Plain{loc: s.newLocation(name, false), sys: s}
+	l := s.newLocation(name, false)
+	l.plainH.loc = l
+	return &l.plainH
 }
 
 // newLocation registers a location. Creation is ordered just before the

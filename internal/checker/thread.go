@@ -386,7 +386,13 @@ func (t *Thread) run() {
 				t.sys.aborted = true
 			}
 		}
-		t.finishClock = t.clock.Share()
+		// The finish clock lives one execution, so even fast mode takes
+		// it from the pool's arena rather than snap's free list.
+		if p := t.sys.pool; p != nil {
+			t.finishClock = p.getClock(t.clock)
+		} else {
+			t.finishClock = t.clock.Share()
+		}
 		t.state = tsFinished
 		// A finishing (or unwinding) thread holds the baton: pass it on
 		// exactly as park would. While reap drains, nextThread is nil and

@@ -51,11 +51,13 @@ func cacheOf(sys *checker.System) *checkCache {
 	return cc
 }
 
-// checkScratch is per-shard reusable memory for the spec-check miss path:
-// the ~r~ reachability matrix backing, topological-sort bookkeeping, and
-// the fingerprint buffer. A shard runs one check at a time, so a single
-// instance serves every execution of the shard.
+// checkScratch is per-shard reusable memory for the spec check: the ~r~
+// relation and its reachability matrix backing, topological-sort
+// bookkeeping, and the fingerprint buffer. A shard runs one check at a
+// time (checkCache.mu), so a single instance serves every execution of
+// the shard.
 type checkScratch struct {
+	rel        orderRelation
 	reachRows  [][]bool
 	reachCells []bool
 	idx        map[*Call]int
@@ -115,8 +117,9 @@ func (sc *checkScratch) grabTopo(n int) (indeg []int, used []bool, order []*Call
 // reachability matrix. SRet is deliberately excluded — it is an output of
 // the check, not an input. The hash is also the per-execution entropy
 // source for the history sampler seed, which is why it must be a stable
-// content hash (FNV), not a per-process one.
-func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key string, hash uint64) {
+// content hash (FNV), not a per-process one. key aliases the scratch's
+// buffer and is valid until the next fingerprint call on sc.
+func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key []byte, hash uint64) {
 	buf := sc.fp[:0]
 	n := len(calls)
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -165,7 +168,7 @@ func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key string,
 
 	h := fnv.New64a()
 	h.Write(buf)
-	return string(buf), h.Sum64()
+	return buf, h.Sum64()
 }
 
 // reportFor summarizes a CheckResult as the per-execution SpecReport the

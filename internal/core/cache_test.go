@@ -166,7 +166,8 @@ func fingerprintOf(t *testing.T, calls []*Call) (string, uint64) {
 	t.Helper()
 	sc := &checkScratch{}
 	r := buildOrderScratch(calls, sc)
-	return fingerprint(sc, calls, r)
+	key, h := fingerprint(sc, calls, r)
+	return string(key), h
 }
 
 // TestFingerprintDistinguishesContent: executions differing in any
@@ -258,6 +259,31 @@ func TestCheckMemoHitIsolation(t *testing.T) {
 	if rep2.Histories != rep1.Histories || rep2.AdmissibilityChecks != rep1.AdmissibilityChecks ||
 		rep2.JustifySearches != rep1.JustifySearches {
 		t.Errorf("hit did not replay counters: miss %+v, hit %+v", rep1, rep2)
+	}
+}
+
+// TestCheckMemoHitAllocs: once a record's check is cached, checking it
+// again is a hit that allocates nothing: the key is looked up from the
+// scratch fingerprint buffer, the ~r~ relation lives in the scratch, and
+// a hit without failures returns the cached CheckResult.
+func TestCheckMemoHitAllocs(t *testing.T) {
+	opE := fabricate(0, 1, -1)
+	opD := fabricate(0, 2, -1, opE)
+	cE := makeCall(0, "enq", 0, opE)
+	cE.Args = []memmodel.Value{1}
+	cD := makeCall(1, "deq", 1, opD)
+	m := &Monitor{spec: queueSpec(), calls: []*Call{cE, cD}}
+	cc := newCheckCache()
+	if res, rep := m.checkMemo(cc); rep.CacheMisses != 1 || len(res.Failures) != 0 {
+		t.Fatalf("first check should miss and pass: %+v, %v", rep, res.Failures)
+	}
+	var rep checker.SpecReport
+	allocs := testing.AllocsPerRun(100, func() { _, rep = m.checkMemo(cc) })
+	if rep.CacheHits != 1 {
+		t.Fatalf("repeat check should hit: %+v", rep)
+	}
+	if allocs != 0 {
+		t.Errorf("a spec-cache hit allocated %.0f times per run, want 0", allocs)
 	}
 }
 

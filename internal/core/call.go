@@ -29,7 +29,8 @@ import (
 
 // Call records one API method call in an execution: the paper's method
 // invocation/response pair plus its dynamic information and ordering
-// points.
+// points. A Call belongs to its Monitor's arena and is valid until the
+// worker's next execution, which reuses the record (see Monitor.Calls).
 type Call struct {
 	// ID is the index of the call in the execution (program order of
 	// invocation events).

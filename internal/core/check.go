@@ -29,9 +29,9 @@ func buildOrder(calls []*Call) *orderRelation {
 	return buildOrderScratch(calls, &checkScratch{})
 }
 
-// buildOrderScratch is buildOrder with the matrix and index map backed by
-// the shard's reusable scratch. The returned relation is valid until the
-// scratch's next buildOrderScratch call.
+// buildOrderScratch is buildOrder with the relation, its matrix and its
+// index map backed by the shard's reusable scratch. The returned relation
+// is valid until the scratch's next buildOrderScratch call.
 func buildOrderScratch(calls []*Call, sc *checkScratch) *orderRelation {
 	n := len(calls)
 	if sc.idx == nil {
@@ -39,7 +39,8 @@ func buildOrderScratch(calls []*Call, sc *checkScratch) *orderRelation {
 	} else {
 		clear(sc.idx)
 	}
-	r := &orderRelation{calls: calls, idx: sc.idx, reach: sc.grabMatrix(n)}
+	r := &sc.rel
+	*r = orderRelation{calls: calls, idx: sc.idx, reach: sc.grabMatrix(n)}
 	for i, c := range calls {
 		r.idx[c] = i
 	}
@@ -256,26 +257,24 @@ func (m *Monitor) Check() *CheckResult {
 // checkMemo is Check with an optional per-shard memoization cache. With a
 // cache, the execution's canonical fingerprint (see fingerprint) keys the
 // full CheckResult: a repeated equivalent behavior costs buildOrder plus
-// one lookup instead of a sequential-history enumeration. The returned
-// SpecReport carries the counters the checker folds into Stats — on a hit
-// they replay the cached check's counters, so the spec-side Stats are
-// independent of the hit/miss pattern.
+// one lookup instead of a sequential-history enumeration, and allocates
+// nothing: a hit without failures returns the cached CheckResult itself,
+// which callers must not modify. The returned SpecReport carries the
+// counters the checker folds into Stats — on a hit they replay the cached
+// check's counters, so the spec-side Stats are independent of the
+// hit/miss pattern.
 func (m *Monitor) checkMemo(cc *checkCache) (*CheckResult, checker.SpecReport) {
-	res := &CheckResult{Admissible: true}
 	if m == nil || m.spec == nil {
-		return res, checker.SpecReport{}
+		return &CheckResult{Admissible: true}, checker.SpecReport{}
 	}
 	calls := m.calls
 	for _, c := range calls {
 		if !c.ended {
-			res.Failures = append(res.Failures, specFail(
+			return rejected(specFail(
 				"method call %s began but never ended (missing End instrumentation)", c))
-			return res, reportFor(res)
 		}
 		if m.spec.Methods[c.Name] == nil {
-			res.Failures = append(res.Failures, specFail(
-				"no method spec for %q", c.Name))
-			return res, reportFor(res)
+			return rejected(specFail("no method spec for %q", c.Name))
 		}
 	}
 	sc := &m.noScratch
@@ -289,36 +288,45 @@ func (m *Monitor) checkMemo(cc *checkCache) (*CheckResult, checker.SpecReport) {
 	}
 	r := buildOrderScratch(calls, sc)
 	if r.cyclic() {
-		res.Failures = append(res.Failures, specFail(
+		return rejected(specFail(
 			"ordering points induce a cyclic ~r~ relation; check OP annotations"))
-		return res, reportFor(res)
 	}
 
 	// The canonical fingerprint doubles as the cache key and as the
 	// per-execution entropy for the history-sampler seed, so it is needed
-	// whenever either a cache or a sampling spec is in play.
-	var key string
+	// whenever either a cache or a sampling spec is in play. The key
+	// aliases the scratch's buffer: the lookup converts it without
+	// allocating, and only an insertion copies it.
+	var key []byte
 	var fp uint64
 	if cc != nil || m.spec.SampleHistories > 0 {
 		key, fp = fingerprint(sc, calls, r)
 	}
 	if cc != nil {
-		if hit, ok := cc.entries[key]; ok {
+		if hit, ok := cc.entries[string(key)]; ok {
 			rep := reportFor(hit)
 			rep.CacheHits = 1
 			return withCopiedFailures(hit), rep
 		}
 	}
 
+	res := &CheckResult{Admissible: true}
 	m.runCheck(res, r, sc, fp)
 	rep := reportFor(res)
 	if cc != nil {
-		cc.entries[key] = res
+		cc.entries[string(key)] = res
 		rep.CacheMisses = 1
 		rep.CacheEntries = 1
 		res = withCopiedFailures(res)
 	}
 	return res, rep
+}
+
+// rejected is checkMemo's result for an execution the pipeline rejects
+// before checking it against the spec.
+func rejected(f *checker.Failure) (*CheckResult, checker.SpecReport) {
+	res := &CheckResult{Admissible: true, Failures: []*checker.Failure{f}}
+	return res, reportFor(res)
 }
 
 // samplerSeed derives the history-sampler seed for one execution from the

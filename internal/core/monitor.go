@@ -6,33 +6,45 @@ import (
 )
 
 // Monitor records the method calls of one execution and checks them
-// against a Spec when the execution completes. One Monitor is installed
-// per execution via Install (typically from Config.OnRunStart).
+// against a Spec when the execution completes. Install puts a Monitor on
+// every execution's System (typically from Config.OnRunStart); a pooled
+// System keeps its Monitor, so each engine worker records every one of
+// its executions into the same Monitor and the same Call records.
 type Monitor struct {
-	spec  *Spec
+	spec *Spec
+	// calls are the calls recorded this execution, a prefix of arena.
 	calls []*Call
+	// arena holds every Call record the monitor has handed out; Begin
+	// reuses arena[len(calls)], keeping its slices' capacity, and
+	// allocates only past the largest call count seen so far.
+	arena []*Call
 	// depth is the API-call nesting depth per thread id: when an API
 	// method calls another API method, only the outermost counts (paper
 	// §4.3, "Nested API Method Call"). muts counts spec-layer mutations
 	// per thread id, for the checker's spinloop reduction (see
 	// ReduceThreadMuts in reduce.go). mut grows both to cover a thread;
-	// Install backs them with depthBuf and mutsBuf, so an execution with
-	// up to four threads records without allocating them.
-	depth    []int
-	muts     []uint64
-	depthBuf [4]int
-	mutsBuf  [4]uint64
+	// both keep their capacity across executions.
+	depth []int
+	muts  []uint64
 	// noScratch backs the check when no shard cache (and thus no shared
 	// checkScratch) is available — direct Check() calls from unit tests.
 	noScratch checkScratch
 }
 
-// Install creates a Monitor for spec and hangs it off the system so the
-// instrumented data-structure code can find it.
+// Install hangs a Monitor for spec off the system so the instrumented
+// data-structure code can find it. It resets and reuses the Monitor it
+// finds in sys.Aux (a pooled System keeps its previous execution's), and
+// allocates one only when sys.Aux holds none.
 func Install(sys *checker.System, spec *Spec) *Monitor {
-	m := &Monitor{spec: spec}
-	m.depth, m.muts = m.depthBuf[:0], m.mutsBuf[:0]
-	sys.Aux = m
+	m, _ := sys.Aux.(*Monitor)
+	if m == nil {
+		m = &Monitor{}
+		sys.Aux = m
+	}
+	m.spec = spec
+	m.calls = m.arena[:0]
+	m.depth = m.depth[:0]
+	m.muts = m.muts[:0]
 	return m
 }
 
@@ -48,7 +60,10 @@ func FromSys(sys *checker.System) *Monitor {
 	return m
 }
 
-// Calls returns the method calls recorded so far.
+// Calls returns the method calls recorded so far. The slice and the Call
+// records are valid until the next Install on the same System — under
+// execution pooling, until the worker's next execution starts — so a
+// caller that keeps them longer must copy what it needs.
 func (m *Monitor) Calls() []*Call { return m.calls }
 
 // Fingerprint returns the canonical 64-bit content hash of the calls
@@ -79,7 +94,8 @@ type CallCtx struct {
 }
 
 // Begin opens an API method call (the method-begin annotation action).
-// It must be paired with End/EndVoid on every return path.
+// It must be paired with End/EndVoid on every return path. The call's
+// Args are a copy of args, so a caller's argument slice need not escape.
 func (m *Monitor) Begin(t *checker.Thread, name string, args ...memmodel.Value) *CallCtx {
 	if m == nil {
 		return nil
@@ -90,9 +106,22 @@ func (m *Monitor) Begin(t *checker.Thread, name string, args ...memmodel.Value) 
 	if m.depth[tid] > 1 {
 		return &CallCtx{m: m, tid: tid} // nested: inert
 	}
-	c := &Call{ID: len(m.calls), Thread: tid, Name: name, Args: args}
+	n := len(m.calls)
+	if n == len(m.arena) {
+		m.arena = append(m.arena, &Call{})
+	}
+	c := m.arena[n]
+	*c = Call{
+		ID:         n,
+		Thread:     tid,
+		Name:       name,
+		Args:       append(c.Args[:0], args...),
+		OPs:        c.OPs[:0],
+		potentials: c.potentials[:0],
+		aux:        c.aux[:0],
+	}
 	c.ctx = CallCtx{m: m, call: c, tid: tid}
-	m.calls = append(m.calls, c)
+	m.calls = m.arena[:n+1]
 	return &c.ctx
 }
 

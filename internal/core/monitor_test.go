@@ -281,3 +281,37 @@ func TestCrossThreadOPOrdering(t *testing.T) {
 		t.Error("saw a bogus reverse ordering (a load cannot happen-before the store it reads)")
 	}
 }
+
+// TestRecordingAllocs: once an execution's System holds a Monitor,
+// Install and a call's annotations reuse the Monitor and its Call record,
+// so recording allocates nothing. The script runs inside one execution's
+// root thread, after the store its ordering points name.
+func TestRecordingAllocs(t *testing.T) {
+	spec := trivialSpec()
+	var allocs float64
+	var calls []*Call
+	res := checker.Explore(checker.Config{MaxExecutions: 1}, func(root *checker.Thread) {
+		root.NewAtomicInit("x", 0)
+		sys := root.Sys()
+		allocs = testing.AllocsPerRun(100, func() {
+			m := Install(sys, spec)
+			c := m.Begin(root, "m", 1, 2)
+			c.SetAux("b", 3)
+			c.SetAux("a", 4)
+			c.OPDefine(root, true)
+			c.PotentialOP(root, "p", true)
+			c.OPCheck(root, "p", true)
+			c.End(root, 5)
+			calls = m.Calls()
+		})
+	})
+	if res.Feasible != 1 || len(calls) != 1 {
+		t.Fatalf("script did not record one call: %v, %d calls", res, len(calls))
+	}
+	if c := calls[0]; len(c.Args) != 2 || len(c.OPs) != 2 || c.GetAux("a") != 4 || c.Ret != 5 {
+		t.Errorf("call mis-recorded: %s, %d OPs, aux a = %d", c, len(c.OPs), c.GetAux("a"))
+	}
+	if allocs != 0 {
+		t.Errorf("Install plus one call's annotations allocated %.0f times per run, want 0", allocs)
+	}
+}

@@ -137,10 +137,11 @@ func (t *Target) Check(p *Program, ord *memmodel.OrderTable, cfg CampaignConfig)
 		idx := p.Index
 		ccfg.Progress = func(pr checker.Progress) { cfg.Progress(idx, pr) }
 	}
-	// The exploration runs on one worker, so the last monitor installed is
-	// the failing execution's (StopAtFirst stops right after it) — its
-	// canonical fingerprint is the dedup key. Built-in failures abort
-	// mid-execution; Fingerprint handles the partial record.
+	// The exploration runs on one worker, which records every execution
+	// into one reused monitor. After Explore that monitor still holds the
+	// failing execution, because StopAtFirst stops the worker right after
+	// it — its canonical fingerprint is the dedup key. Built-in failures
+	// abort mid-execution; Fingerprint handles the partial record.
 	var mon *core.Monitor
 	ccfg.OnRunStart = func(sys *checker.System) { mon = core.FromSys(sys) }
 	res := core.Explore(t.Spec(), ccfg, prog)
