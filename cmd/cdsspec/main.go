@@ -28,10 +28,12 @@
 // pool, and the exploration workers of explore, resume, diff, fastrun
 // and submit), and per-subcommand -json (machine-readable output),
 // -progress (periodic progress to stderr), -model (consistency model:
-// c11, sc, or scatomics — see DESIGN.md), -reduce
+// c11, sc, or scatomics — see DESIGN.md; fuzz, shrink, triage,
+// knownbugs and overlystrong run c11 only and refuse any other), -reduce
 // (execution-equivalence reductions: all, none, or a comma list of
 // rf,symmetry,spinloop — default all for explore, none elsewhere;
-// honored by run, resume, dot, json, fig7 and fig8), and
+// honored by run, resume, dot, json, fig7 and fig8, and refused by fuzz,
+// shrink, triage, knownbugs, overlystrong, fastrun and submit), and
 // -cpuprofile/-memprofile (write pprof profiles of the subcommand).
 // The diff subcommand names its two legs' models with -a (default c11)
 // and -b (default sc) instead of -model; leg A runs unreduced and leg B
@@ -238,6 +240,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	})
 	pos := sub.Args()
+	if msg := c.unreadFlag(cmd); msg != "" {
+		fmt.Fprintln(stderr, msg)
+		return 2
+	}
 
 	// Profiling wraps the whole subcommand, whatever it is, so a slow
 	// fig7 row or a fuzz campaign can be profiled the same way.
@@ -369,6 +375,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// unreadFlag explains why cmd refuses its -model or -reduce, or returns
+// "". Every verb parses the one shared flag set, so a verb that does not
+// read one of these flags must refuse it rather than drop it silently.
+// A verb that runs only c11 accepts -model c11, and a verb that runs
+// unreduced accepts -reduce none.
+func (c *cli) unreadFlag(cmd string) string {
+	switch cmd {
+	case "fuzz", "shrink", "triage", "knownbugs", "overlystrong":
+		if c.model != model.C11 {
+			return fmt.Sprintf("%s runs only the %s model; it cannot honor -model %s", cmd, model.C11, c.model)
+		}
+	}
+	switch cmd {
+	case "fuzz", "shrink", "triage", "knownbugs", "overlystrong", "fastrun", "submit":
+		if c.reduce.Any() {
+			return fmt.Sprintf("%s explores without reductions; it cannot honor -reduce %s", cmd, c.reduce)
+		}
+	}
+	return ""
 }
 
 func usage(w io.Writer) {

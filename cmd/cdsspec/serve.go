@@ -115,13 +115,19 @@ func (c *cli) submitSpec(benchmark string) service.JobSpec {
 }
 
 // submitCmd submits one job and prints its id (or the full view with
-// -json).
+// -json). A spec the daemon would refuse is a usage error, caught before
+// the daemon is contacted.
 func (c *cli) submitCmd(benchmark string) int {
+	spec := c.submitSpec(benchmark)
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(c.stderr, err)
+		return 2
+	}
 	cl, ok := c.serviceClient()
 	if !ok {
 		return 2
 	}
-	v, err := cl.Submit(c.submitSpec(benchmark))
+	v, err := cl.Submit(spec)
 	if err != nil {
 		fmt.Fprintln(c.stderr, err)
 		return 1

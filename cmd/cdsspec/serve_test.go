@@ -117,6 +117,18 @@ func TestServiceCLIUsageErrors(t *testing.T) {
 		{"watch", "j000001"}, // no -state/-addr
 		{"cancel"},           // no job id
 		{"triage"},           // no benchmark
+		// Flags the verb parses but does not read: refused before any
+		// daemon is contacted or any program is explored.
+		{"submit", "-addr", "127.0.0.1:1", "-reduce", "all", "M&S Queue"},
+		{"submit", "-addr", "127.0.0.1:1", "-kind", "triage", "-model", "sc", "RCU"},
+		{"fuzz", "-model", "sc", "-count", "1", "SPSC Queue"},
+		{"fuzz", "-reduce", "rf", "-count", "1", "SPSC Queue"},
+		{"shrink", "-model", "scatomics", "-count", "1", "SPSC Queue"},
+		{"triage", "-model", "sc", "-count", "1", "SPSC Queue"},
+		{"triage", "-reduce", "all", "-count", "1", "SPSC Queue"},
+		{"fastrun", "-reduce", "rf", "-max", "10", "M&S Queue"},
+		{"overlystrong", "-model", "sc"},
+		{"knownbugs", "-reduce", "rf"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 {

@@ -93,11 +93,12 @@ type Config struct {
 	// surface as a specification violation instead).
 	DisableLifetimeCheck bool
 
-	// Test-only switches. Each selects the reference path that an
-	// optimization replaces, and the tests compare the two. The four
-	// kernel switches (floor cache, pooling, load compaction, replay
-	// pinning) leave every Result identical; export_test.go turns them
-	// off together for external tests.
+	// Test-only settings. The four kernel switches (floor cache, pooling,
+	// load compaction, replay pinning) each pick a setting of the one
+	// implementation — the reference the tests compare an optimization
+	// against — never a second code path, and leave every Result
+	// identical; KernelOptsOff in export_test.go turns them off together
+	// for external tests.
 	//
 	// disableSleepSet turns off the sleep-set partial-order reduction:
 	// every enabled thread stays a scheduling candidate, so more
@@ -106,23 +107,23 @@ type Config struct {
 	// disableFloorCache turns off the per-(thread, location) memoization
 	// of visibleFloor.
 	disableFloorCache bool
-	// disablePooling turns off per-shard recycling of executions
-	// (System, threads, locations, actions, clock snapshots).
+	// disablePooling starts every execution from fresh state:
+	// execPool.take stops the pool's thread goroutines and drops the
+	// System, threads, locations, actions and clocks it holds before
+	// each execution.
 	disablePooling bool
-	// disableLoadCompaction turns off the discarding of read-read
-	// coherence records that can never again raise a visibility floor.
-	disableLoadCompaction bool
-	// disableReplayPinning turns off the frozen-prefix replay fast path
-	// (reusing recorded visibility computations while re-driving a
-	// recorded decision prefix).
+	// disableReplayPinning makes every value site compute its visibility
+	// record fresh: dfsChooser.enter validates no recorded prefix for
+	// frozen-prefix replay to reuse.
 	disableReplayPinning bool
 	// debugReplayCheck recomputes every pinned visibility record during
 	// replay and panics on mismatch — a (slow) validation mode for the
 	// replay-determinism invariant the pinning fast path relies on.
 	debugReplayCheck bool
 	// compactThreshold is the loadRec count past which a location's
-	// records are compacted (default 64; tests lower it to force
-	// compaction on small programs).
+	// read-read coherence records are compacted (default 64). Tests lower
+	// it to force compaction on small programs; KernelOptsOff raises it
+	// to math.MaxInt, which no location reaches, to turn compaction off.
 	compactThreshold int
 	// storeBound bounds each location's retained store-buffer window in
 	// FastMode (default 64, minimum 2; tests lower it to force eviction).
@@ -132,10 +133,11 @@ type Config struct {
 	storeBound int
 
 	// OnRunStart runs at the start of every execution, before the root
-	// thread. It typically installs the spec monitor in sys.Aux. Under
-	// execution pooling sys.Aux still holds what the worker's previous
-	// execution left there (nil on its first), so the hook can reset and
-	// reuse it instead of allocating.
+	// thread. It typically installs the spec monitor in sys.Aux. sys.Aux
+	// still holds what the worker's previous execution left there (nil on
+	// its first, and on every execution under the tests' disablePooling
+	// reference), so the hook can reset and reuse it instead of
+	// allocating.
 	OnRunStart func(sys *System)
 	// OnExecution runs after every feasible (completed) execution and
 	// returns any specification failures found in it.
@@ -378,9 +380,11 @@ type decision struct {
 
 // dfsChooser replays a decision prefix and extends it depth-first.
 type dfsChooser struct {
-	decisions    []decision
-	depth        int
-	disableSleep bool
+	decisions []decision
+	depth     int
+	// cfg is the exploration's Config; its test-only sleep-set and
+	// replay-pinning settings shape pickThread and enter.
+	cfg *Config
 	// stats receives decision counters; the engine points it at the leaf
 	// Result of the task being run. Fresh decision nodes count as branch
 	// points, replayed ones as ReplayedDecisions — tallies that do not
@@ -389,20 +393,17 @@ type dfsChooser struct {
 	// holds inside that subtree.
 	stats *Stats
 
-	// pin enables the frozen-prefix replay fast path: vlog records the
-	// visibility computation of every value-nondeterminism site of the
-	// current execution in call order; positions below vvalid were
+	// vlog records the visibility computation of every value-
+	// nondeterminism site of the current execution in call order, for the
+	// frozen-prefix replay fast path: positions below vvalid were
 	// recorded by a previous execution of the identical prefix and are
 	// served back (vpos is the cursor), positions at and past it are
 	// computed fresh and appended. Moving to a new task rewinds vvalid to
 	// the first changed node's callIdx — the calls before that node are
 	// the ones its new branch replays unchanged.
-	pin    bool
 	vlog   []floorRec
 	vpos   int
 	vvalid int
-	// scratchRec backs noteFloor when pinning is off.
-	scratchRec floorRec
 	// candsBuf backs pickThread's candidate filtering, copied only when
 	// a fresh decision node retains the candidate list.
 	candsBuf []int
@@ -415,7 +416,7 @@ type dfsChooser struct {
 // pinnedFloor serves the next recorded value-site computation while the
 // cursor is inside the validated prefix.
 func (d *dfsChooser) pinnedFloor() (*floorRec, bool) {
-	if !d.pin || d.vpos >= d.vvalid {
+	if d.vpos >= d.vvalid {
 		return nil, false
 	}
 	r := &d.vlog[d.vpos]
@@ -426,10 +427,6 @@ func (d *dfsChooser) pinnedFloor() (*floorRec, bool) {
 // noteFloor appends a freshly computed record at the cursor, truncating
 // any stale tail from a longer previous execution.
 func (d *dfsChooser) noteFloor(rec floorRec) *floorRec {
-	if !d.pin {
-		d.scratchRec = rec
-		return &d.scratchRec
-	}
 	d.vlog = append(d.vlog[:d.vpos], rec)
 	d.vpos = len(d.vlog)
 	d.vvalid = d.vpos
@@ -488,7 +485,7 @@ func (d *dfsChooser) freshDecision() bool { return d.depth >= len(d.decisions) }
 func (d *dfsChooser) pickThread(s *System, enabled []*Thread) *Thread {
 	cands := d.candsBuf[:0]
 	for _, t := range enabled {
-		if !d.disableSleep && t.state != tsYield && s.sleep.asleep(t.id) {
+		if !d.cfg.disableSleepSet && t.state != tsYield && s.sleep.asleep(t.id) {
 			continue
 		}
 		cands = append(cands, t.id)
@@ -523,7 +520,7 @@ func (d *dfsChooser) pickThread(s *System, enabled []*Thread) *Thread {
 		nd.callIdx = d.vpos // see choose: path-intrinsic, refreshed on replay
 		d.depth++
 		d.noteDecision(false, true)
-		if !d.disableSleep {
+		if !d.cfg.disableSleepSet {
 			for _, tid := range nd.explored {
 				t := s.threads[tid]
 				if t.state != tsYield {
@@ -574,18 +571,16 @@ func (d *dfsChooser) enter(t *wsTask) int {
 			k++
 		}
 	}
-	if d.pin {
-		// Value-site records strictly below the first changed node's call
-		// position stay valid for replay pinning. d.decisions[k] was
-		// replayed or created by the previous execution, so its callIdx is
-		// current (see choose); with no such node the vlog conservatively
-		// invalidates entirely.
-		d.vvalid = 0
-		if k < len(d.decisions) {
-			d.vvalid = min(d.decisions[k].callIdx, len(d.vlog))
-		}
-		d.vpos = 0
+	// Value-site records strictly below the first changed node's call
+	// position stay valid for replay pinning. d.decisions[k] was replayed
+	// or created by the previous execution, so its callIdx is current
+	// (see choose); with no such node, or with replay pinning off, the
+	// vlog invalidates entirely.
+	d.vvalid = 0
+	if k < len(d.decisions) && !d.cfg.disableReplayPinning {
+		d.vvalid = min(d.decisions[k].callIdx, len(d.vlog))
 	}
+	d.vpos = 0
 	d.decisions = d.decisions[:k]
 	for _, m := range d.nodes[k:] {
 		nd := decision{kind: m.kind, n: m.n, chosen: m.branch}
@@ -621,8 +616,8 @@ func (r *Result) record(f *Failure, maxFailures int) {
 // its failures with res.Executions as the 1-based execution index (the
 // fold offsets it to the exploration-wide index). scratch is the shard
 // state exposed as System.Scratch (nil when Config.NewScratch is unset);
-// pool is the shard's execution pool (nil when pooling is disabled).
-// It reports whether the execution failed.
+// pool is the worker's execution pool. It reports whether the execution
+// failed.
 func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any, pool *execPool) bool {
 	res.Executions++
 	exploreStart := time.Now()
@@ -689,10 +684,7 @@ func (c *Config) newScratch() any {
 
 // newDFSChooser builds a chooser for exhaustive exploration under c.
 func newDFSChooser(c *Config) *dfsChooser {
-	return &dfsChooser{
-		disableSleep: c.disableSleepSet,
-		pin:          !c.disableReplayPinning,
-	}
+	return &dfsChooser{cfg: c}
 }
 
 // Explore enumerates executions of root under cfg and returns the
@@ -710,15 +702,10 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 	return exploreWorkSteal(c, root)
 }
 
-// runExecution performs a single execution under the given chooser,
-// recycling per-execution state through pool when one is supplied.
+// runExecution performs a single execution under the given chooser on
+// per-execution state taken from pool.
 func runExecution(cfg *Config, ch chooser, root func(*Thread), scratch any, pool *execPool) *System {
-	var sys *System
-	if pool != nil {
-		sys = pool.take(cfg, ch, scratch)
-	} else {
-		sys = &System{cfg: cfg, chooser: ch, Scratch: scratch, schedDone: make(chan struct{})}
-	}
+	sys := pool.take(cfg, ch, scratch)
 	if cfg.OnRunStart != nil {
 		cfg.OnRunStart(sys)
 	}
@@ -914,10 +901,9 @@ func (s *System) reportStuck() {
 // reap ends the execution's unfinished threads: each is poisoned (it
 // sees aborted and unwinds) and acks on schedDone, so by the time reap
 // returns every thread goroutine of this execution is idle on its resume
-// channel — the precondition for pooling the Thread structs. A thread
-// that finished needs no join: after its last baton send it touches
-// nothing but resume. Unpooled threads are not reused, so reap stops
-// their goroutines too.
+// channel — the precondition for recycling the Thread structs, and for
+// execPool.close. A thread that finished needs no join: after its last
+// baton send it touches nothing but resume.
 func (s *System) reap() {
 	s.draining = true
 	s.aborted = true
@@ -928,18 +914,4 @@ func (s *System) reap() {
 		}
 	}
 	s.draining = false
-	if s.pool == nil {
-		stopThreads(s.threads, s.schedDone)
-	}
-}
-
-// stopThreads closes the resume channel of every thread in ts, all idle
-// between executions, and waits for each goroutine's exit ack on exited.
-func stopThreads(ts []*Thread, exited <-chan struct{}) {
-	for _, t := range ts {
-		close(t.resume)
-	}
-	for range ts {
-		<-exited
-	}
 }

@@ -3,20 +3,23 @@ package checker
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/memmodel"
 )
 
-// KernelOptsOff returns cfg with every kernel hot-path optimization
-// turned off: the visibility-floor cache, execution pooling, load
-// compaction and replay pinning. Results must be identical either way;
-// the tests here and in package checker_test compare against it.
+// KernelOptsOff returns cfg with every kernel hot-path optimization set
+// to its reference setting: no visibility-floor cache, fresh state for
+// every execution (the pool drops what it holds), a compaction threshold
+// no location reaches, and no pinned replay records. Results must be
+// identical either way; the tests here and in package checker_test
+// compare against it.
 func KernelOptsOff(cfg Config) Config {
 	cfg.disableFloorCache = true
 	cfg.disablePooling = true
-	cfg.disableLoadCompaction = true
+	cfg.compactThreshold = math.MaxInt
 	cfg.disableReplayPinning = true
 	return cfg
 }

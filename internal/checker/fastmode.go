@@ -186,7 +186,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 		starts[w+1] = starts[w] + n
 	}
 	locals := make([]*Result, workers)
-	runPool(workers, workers, func(w int) {
+	ForEach(workers, workers, func(w int) {
 		local := &Result{}
 		locals[w] = local
 		fastBlock(c, local, root, starts[w], starts[w+1], b)
@@ -200,7 +200,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 // cancellation.
 func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, b *bounds) {
 	ch := &fastChooser{stats: &res.Stats}
-	pool := newExecPool(c)
+	pool := &execPool{}
 	defer pool.close()
 	for i := from; i < to; i++ {
 		if b != nil && b.stopped() {

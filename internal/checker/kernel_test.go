@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -244,12 +245,12 @@ func TestKernelOptsDeterminism(t *testing.T) {
 // TestLoadCompactionSoundness: compaction discards loadRec entries that
 // are dominated for every possible future reader, so forcing it to run
 // aggressively (threshold 2) must leave both the outcome sets and the
-// full Result identical to a run with compaction disabled.
+// full Result identical to a run whose threshold no location reaches.
 func TestLoadCompactionSoundness(t *testing.T) {
 	for _, p := range kernelProgs {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			off, offOut := runKernelProg(t, Config{disableLoadCompaction: true}, p)
+			off, offOut := runKernelProg(t, Config{compactThreshold: math.MaxInt}, p)
 			on, onOut := runKernelProg(t, Config{compactThreshold: 2}, p)
 			if !reflect.DeepEqual(offOut, onOut) {
 				t.Errorf("outcome sets differ:\n compaction off: %v\n threshold 2:   %v", offOut, onOut)
@@ -282,6 +283,55 @@ func TestPooledExecutionIsolation(t *testing.T) {
 	}
 }
 
+// TestPoolingReferenceStartsFresh: the disablePooling reference runs
+// every execution on fresh state — OnRunStart sees a new *System with a
+// nil Aux each time — in DFS at 1 and 4 workers and in FastMode. With
+// pooling on, each worker repeats one *System, whose Aux is nil only on
+// the worker's first execution.
+func TestPoolingReferenceStartsFresh(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		workers int
+	}{
+		{"dfs-1", Config{}, 1},
+		{"dfs-4", Config{Parallelism: 4}, 4},
+		{"fast", Config{FastMode: true, MaxExecutions: 40, Seed: 5}, 1},
+	} {
+		for _, reference := range []bool{false, true} {
+			cfg := tc.cfg
+			cfg.disablePooling = reference
+			var mu sync.Mutex
+			// The map keeps every System alive, so a new System cannot
+			// reuse the address of one the pool dropped.
+			seen := map[*System]bool{}
+			nilAux := 0
+			cfg.OnRunStart = func(sys *System) {
+				mu.Lock()
+				defer mu.Unlock()
+				seen[sys] = true
+				if sys.Aux == nil {
+					nilAux++
+				}
+				sys.Aux = true
+			}
+			res := Explore(cfg, manyExecProgram)
+			name := fmt.Sprintf("%s reference=%v", tc.name, reference)
+			if res.Executions <= tc.workers {
+				t.Fatalf("%s: %d executions cannot show reuse across %d workers", name, res.Executions, tc.workers)
+			}
+			switch {
+			case reference && (len(seen) != res.Executions || nilAux != res.Executions):
+				t.Errorf("%s: %d executions saw %d Systems and %d nil Aux values, want a new System with a nil Aux every time",
+					name, res.Executions, len(seen), nilAux)
+			case !reference && (len(seen) > tc.workers || nilAux != len(seen)):
+				t.Errorf("%s: %d executions saw %d Systems and %d nil Aux values, want at most %d Systems, each with a nil Aux once",
+					name, res.Executions, len(seen), nilAux, tc.workers)
+			}
+		}
+	}
+}
+
 // TestPooledExecutionAllocs: on a warmed execPool, a branch-free
 // execution allocates nothing — the System shell, threads and their
 // goroutines, locations and their handles, actions, clock snapshots,
@@ -291,7 +341,7 @@ func TestPooledExecutionIsolation(t *testing.T) {
 // measured runs.
 func TestPooledExecutionAllocs(t *testing.T) {
 	c := (&Config{}).withDefaults()
-	pool := newExecPool(c)
+	pool := &execPool{}
 	defer pool.close()
 	d := newDFSChooser(c)
 	var x *Atomic

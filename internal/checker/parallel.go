@@ -6,10 +6,10 @@ import (
 )
 
 // This file holds the run-sharing helpers of the engines: the shared
-// execution budget, the worker pool and the block-order Result merge
-// that FastMode's sharded run loop uses (every run already owns a
-// private System, so only the merge matters). DFS mode runs on the
-// work-stealing engine (worksteal.go) at any Parallelism.
+// execution budget, the index-addressed worker pool and the block-order
+// Result merge that FastMode's sharded run loop uses (every run already
+// owns a private System, so only the merge matters). DFS mode runs on
+// the work-stealing engine (worksteal.go) at any Parallelism.
 
 // bounds is the shared execution budget and cancellation state of an
 // exploration's workers.
@@ -59,18 +59,21 @@ func (b *bounds) tryStart() bool {
 // stopped reports whether the exploration was cancelled.
 func (b *bounds) stopped() bool { return b.done.Load() }
 
-// runPool runs tasks 0..tasks-1 on at most workers goroutines and waits
-// for all of them. workers is clamped to [1, tasks]; zero tasks is a
-// no-op.
-func runPool(workers, tasks int, run func(task int)) {
-	if tasks <= 0 {
+// ForEach runs f(0..n-1) on at most workers goroutines and waits for all
+// of them. workers is clamped to [1, n], one worker runs f inline, and
+// n <= 0 is a no-op. Callers write results into index-addressed slots,
+// so the output order is deterministic regardless of scheduling. It is
+// the one worker pool of FastMode's run blocks, the harness's Figure 7
+// rows and Figure 8 trials, and the fuzz campaigns and triage tiers.
+func ForEach(workers, n int, f func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
 		return
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -79,11 +82,11 @@ func runPool(workers, tasks int, run func(task int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				t := int(next.Add(1)) - 1
-				if t >= tasks {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				run(t)
+				f(i)
 			}
 		}()
 	}

@@ -2,8 +2,10 @@ package checker
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/memmodel"
@@ -471,5 +473,22 @@ func TestParallelSingleExecution(t *testing.T) {
 	})
 	if res.Executions != 1 || !res.Exhausted {
 		t.Errorf("want 1 exhausted execution: %v", res)
+	}
+}
+
+// TestRunPoolEdges: ForEach with more workers than tasks runs each task
+// exactly once; zero tasks (and zero workers) is a no-op instead of a
+// hang, and one worker runs every task inline, in index order.
+func TestRunPoolEdges(t *testing.T) {
+	var ran atomic.Int64
+	ForEach(16, 3, func(int) { ran.Add(1) })
+	if ran.Load() != 3 {
+		t.Errorf("workers>tasks: ran %d tasks, want 3", ran.Load())
+	}
+	ForEach(4, 0, func(int) { t.Error("zero tasks must not run anything") })
+	var order []int
+	ForEach(0, 3, func(i int) { order = append(order, i) })
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Errorf("zero workers: ran %v, want [0 1 2] (clamped to one inline worker)", order)
 	}
 }

@@ -4,18 +4,18 @@ import (
 	"repro/internal/memmodel"
 )
 
-// execPool recycles the per-execution state of one worker — the System
-// shell, thread structs, locations and their handles, actions, and clock
-// snapshots — so replaying millions of executions allocates (amortized)
-// nothing per execution instead of rebuilding everything from scratch.
+// execPool is where every execution gets its per-execution state — the
+// System shell, thread structs, locations and their handles, actions,
+// and clock snapshots. It recycles them across one worker's executions,
+// so replaying millions of executions allocates (amortized) nothing per
+// execution instead of rebuilding everything from scratch.
 //
 // A pool is single-threaded: it belongs to exactly one engine worker
 // (wsEngine.worker) or one fastBlock, which runs one execution at a time
 // through it. It is not per shard: several workers may explore one
 // shard, each through its own pool, while they share the shard's Scratch
-// value. Pooling is invisible to results: a pooled run is bit-identical
-// to an unpooled one (pinned by tests), because every recycled object is
-// fully reset or fully overwritten before reuse.
+// value. Recycling is invisible to results, because every recycled
+// object is fully reset or fully overwritten before reuse.
 //
 // The load-bearing invariant is *lifetime*: pointers into pooled state —
 // *memmodel.Action, Action.Clock, storeRec.sync, *Atomic and *Plain
@@ -25,8 +25,13 @@ import (
 // no actions), and the spec layer above keeps only derived data
 // (fingerprints, counters) in its cross-execution caches. System.Aux is
 // the one slot take leaves alone: the spec layer keeps its monitor there
-// and resets it itself. The test-only Config.disablePooling switch turns
-// pooling off, as the unpooled reference run the tests compare against.
+// and resets it itself.
+//
+// The test-only Config.disablePooling switch is a setting of this path,
+// not a second one: take then closes the pool and drops everything it
+// holds before each execution, so every execution starts from fresh
+// state with a nil Aux — the reference the tests compare recycling
+// against.
 type execPool struct {
 	sys *System
 
@@ -45,19 +50,15 @@ type execPool struct {
 	clkIdx int
 }
 
-// newExecPool returns an empty pool for one worker, or nil when pooling
-// is disabled — every use site treats a nil pool as "allocate fresh".
-func newExecPool(c *Config) *execPool {
-	if c.disablePooling {
-		return nil
-	}
-	return &execPool{}
-}
-
 // take returns a System reset for the next execution. The first call
 // builds the shell; later calls rewind it, except Aux, which keeps the
-// value the previous execution's OnRunStart hook left there.
+// value the previous execution's OnRunStart hook left there. Under
+// disablePooling every call is a first call.
 func (p *execPool) take(cfg *Config, ch chooser, scratch any) *System {
+	if cfg.disablePooling {
+		p.close()
+		*p = execPool{}
+	}
 	if p.sys == nil {
 		p.sys = &System{schedDone: make(chan struct{})}
 	}
@@ -117,14 +118,19 @@ func (p *execPool) getThread(s *System, id int, name string, fn func(*Thread), s
 	return t
 }
 
-// close stops the pool's thread goroutines and waits for them to exit.
-// The pool's owner calls it once, between executions, when it is done
-// with the pool; a nil pool has nothing to stop.
+// close stops the pool's thread goroutines, all idle on resume between
+// executions: it closes each resume channel and waits for every
+// goroutine's exit ack on schedDone. This is the only place a thread
+// goroutine stops. The pool's owner calls it once, between executions,
+// when it is done with the pool; take calls it before each execution
+// under disablePooling.
 func (p *execPool) close() {
-	if p == nil || len(p.threads) == 0 {
-		return
+	for _, t := range p.threads {
+		close(t.resume)
 	}
-	stopThreads(p.threads, p.sys.schedDone)
+	for range p.threads {
+		<-p.sys.schedDone
+	}
 }
 
 // getLocation returns the id-th location struct, recycled and reset.

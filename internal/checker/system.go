@@ -54,13 +54,13 @@ type floorRec struct {
 }
 
 // System is the state of one simulated execution: threads, locations,
-// the action trace, and the seq_cst bookkeeping. The explorer builds a
-// fresh System per execution, or recycles one through an execPool.
+// the action trace, and the seq_cst bookkeeping. Every execution takes
+// its System from its worker's execPool.
 type System struct {
 	cfg     *Config
 	chooser chooser
-	// pool, when non-nil, recycles threads/locations/actions/clocks
-	// across the executions of one worker (see pool.go).
+	// pool supplies the execution's threads, locations, actions and
+	// clocks, recycled across the executions of one worker (pool.go).
 	pool *execPool
 
 	threads []*Thread
@@ -97,7 +97,7 @@ type System struct {
 	// runExecution: scheduling decisions run inline in whichever thread
 	// goroutine holds the baton (see Thread.park), and the holder whose
 	// decision finds the execution over signals here exactly once. reap
-	// receives each poisoned thread's ack here, and stopThreads each
+	// receives each poisoned thread's ack here, and execPool.close each
 	// goroutine's exit.
 	schedDone chan struct{}
 	// draining tells a thread that reap poisoned it: unwind without a
@@ -130,11 +130,11 @@ type System struct {
 	sleep sleepSet
 
 	// Aux carries per-execution state for higher layers (the CDSSpec
-	// monitor installs itself here from the OnRunStart hook). A pooled
-	// System keeps Aux from one of its worker's executions to the next,
-	// so the hook can reset and reuse what it finds there; an unpooled
-	// System starts every execution with Aux nil. Either way only one
-	// execution at a time sees a given Aux value.
+	// monitor installs itself here from the OnRunStart hook). A System
+	// keeps Aux from one of its worker's executions to the next, so the
+	// hook can reset and reuse what it finds there; only one execution
+	// at a time sees a given Aux value. Under the tests' disablePooling
+	// reference every execution gets a new System, with Aux nil.
 	Aux any
 	// Scratch carries per-shard state created by Config.NewScratch (the
 	// CDSSpec layer keeps its spec-check memoization cache here): every
@@ -251,12 +251,7 @@ func (s *System) newThread(name string, fn func(*Thread), src *memmodel.ClockVec
 	if len(s.threads) >= maxThreads {
 		s.failf(FailAPIMisuse, "too many threads (max %d)", maxThreads)
 	}
-	var t *Thread
-	if s.pool != nil {
-		t = s.pool.getThread(s, len(s.threads), name, fn, src)
-	} else {
-		t = newThreadStruct(s, len(s.threads), name, fn, cloneOrNew(src))
-	}
+	t := s.pool.getThread(s, len(s.threads), name, fn, src)
 	// The child starts parked at its start point; its goroutine waits on
 	// resume until a scheduling decision picks it, so no startup
 	// handshake is needed.
@@ -303,12 +298,7 @@ func (s *System) newLocation(name string, atomic bool) *location {
 			}
 		}
 	}
-	var l *location
-	if s.pool != nil {
-		l = s.pool.getLocation(len(s.locs))
-	} else {
-		l = &location{maxLoadRF: -1}
-	}
+	l := s.pool.getLocation(len(s.locs))
 	l.id = len(s.locs)
 	l.name = name
 	l.atomic = atomic
@@ -357,12 +347,7 @@ func (s *System) record(t *Thread, kind memmodel.Kind, ord memmodel.MemOrder, lo
 	if s.cfg.FastMode {
 		return s.recordFast(t, kind, ord, loc, v)
 	}
-	var act *memmodel.Action
-	if s.pool != nil {
-		act = s.pool.getAction()
-	} else {
-		act = &memmodel.Action{}
-	}
+	act := s.pool.getAction()
 	// Full overwrite: pooled actions carry the previous execution's
 	// values in every field.
 	*act = memmodel.Action{
@@ -453,7 +438,7 @@ func (s *System) freeClock(cv *memmodel.ClockVector) {
 }
 
 // sweepFast returns every action and clock still alive in a store buffer
-// to the free lists — called between pooled fast-mode runs so the next
+// to the free lists — called between fast-mode runs so the next
 // run starts with warm free lists instead of allocating.
 func (s *System) sweepFast() {
 	for _, loc := range s.locs {
@@ -477,23 +462,18 @@ func (s *System) sweepFast() {
 }
 
 // snap captures the current value of cv for retention in per-execution
-// state (action clocks, release clocks, mutex clocks). Pooled executions
-// copy into a recycled arena clock; unpooled ones take a copy-on-write
-// share, so the snapshot costs one small struct instead of a deep copy.
+// state (action clocks, release clocks, mutex clocks): a copy into a
+// clock from the pool's arena, which the next execution rewinds.
 func (s *System) snap(cv *memmodel.ClockVector) *memmodel.ClockVector {
 	if s.cfg.FastMode {
-		// Always an owned copy from the free list, never a share and never
-		// the pool arena: fast-mode clocks are recycled individually when
-		// their store is evicted, which is unsound for shared or
-		// arena-rewound storage.
+		// A copy from the free list, never the pool arena: fast-mode
+		// clocks are recycled individually when their store is evicted,
+		// which is unsound for arena-rewound storage.
 		c := s.takeClock()
 		c.CopyFrom(cv)
 		return c
 	}
-	if s.pool != nil {
-		return s.pool.getClock(cv)
-	}
-	return cv.Share()
+	return s.pool.getClock(cv)
 }
 
 // blank returns an empty clock for per-execution state.
@@ -503,10 +483,7 @@ func (s *System) blank() *memmodel.ClockVector {
 		c.Reset()
 		return c
 	}
-	if s.pool != nil {
-		return s.pool.getClock(nil)
-	}
-	return memmodel.NewClockVector()
+	return s.pool.getClock(nil)
 }
 
 // bumpStep advances the per-run step counter and prunes runaway runs.
@@ -682,9 +659,6 @@ func (s *System) addLoad(t *Thread, loc *location, idx int) {
 // dominated forever. Plain locations are never compacted — their load
 // records feed the data-race check, not just coherence.
 func (s *System) maybeCompactLoads(loc *location) {
-	if s.cfg.disableLoadCompaction {
-		return
-	}
 	if loc.nextCompact == 0 {
 		loc.nextCompact = s.cfg.compactThreshold
 	}

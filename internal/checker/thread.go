@@ -359,9 +359,8 @@ func (t *Thread) NewMutex(name string) *Mutex {
 }
 
 // loop is the goroutine of a Thread: each grant on resume between
-// executions runs one execution's body, until resume is closed (by the
-// pool's close, or by reap for an unpooled thread); then it acks on
-// exited.
+// executions runs one execution's body, until execPool.close closes
+// resume; then it acks on exited.
 func (t *Thread) loop(exited chan<- struct{}) {
 	for range t.resume {
 		t.run()
@@ -388,11 +387,7 @@ func (t *Thread) run() {
 		}
 		// The finish clock lives one execution, so even fast mode takes
 		// it from the pool's arena rather than snap's free list.
-		if p := t.sys.pool; p != nil {
-			t.finishClock = p.getClock(t.clock)
-		} else {
-			t.finishClock = t.clock.Share()
-		}
+		t.finishClock = t.sys.pool.getClock(t.clock)
 		t.state = tsFinished
 		// A finishing (or unwinding) thread holds the baton: pass it on
 		// exactly as park would. While reap drains, nextThread is nil and

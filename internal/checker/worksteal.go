@@ -221,7 +221,7 @@ func (e *wsEngine) addGauges(s *Stats) {
 // worker is one scheduler loop: drain the own deque bottom-first, then
 // steal; park when the whole frontier is in flight elsewhere.
 func (e *wsEngine) worker(w int) {
-	wk := &wsWorker{d: newDFSChooser(e.c), pool: newExecPool(e.c), dq: e.deques[w]}
+	wk := &wsWorker{d: newDFSChooser(e.c), pool: &execPool{}, dq: e.deques[w]}
 	defer wk.pool.close()
 	for {
 		if e.stop.Load() {

@@ -516,23 +516,7 @@ func TestSupervisorHooks(t *testing.T) {
 	}
 }
 
-// --- runPool / mergeInto edge cases ------------------------------------
-
-// TestRunPoolEdges: more workers than tasks runs each task exactly once;
-// zero tasks (and zero workers) is a no-op instead of a hang.
-func TestRunPoolEdges(t *testing.T) {
-	var ran atomic.Int64
-	runPool(16, 3, func(int) { ran.Add(1) })
-	if ran.Load() != 3 {
-		t.Errorf("workers>tasks: ran %d tasks, want 3", ran.Load())
-	}
-	runPool(4, 0, func(int) { t.Error("zero tasks must not run anything") })
-	ran.Store(0)
-	runPool(0, 2, func(int) { ran.Add(1) })
-	if ran.Load() != 2 {
-		t.Errorf("zero workers: ran %d tasks, want 2 (clamped to one worker)", ran.Load())
-	}
-}
+// --- mergeInto edge cases ---------------------------------------------
 
 // TestMergeIntoFailureCap: per-shard results each retain up to the cap,
 // and the merged result keeps exactly the first maxFailures in task

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checker"
@@ -194,7 +192,7 @@ func Run(t *Target, cfg CampaignConfig) (*Campaign, error) {
 
 	verdicts := make([]*Verdict, len(programs))
 	errs := make([]error, len(programs))
-	forEach(cfg.Workers, len(programs), func(i int) {
+	checker.ForEach(cfg.Workers, len(programs), func(i int) {
 		verdicts[i], errs[i] = t.Check(programs[i], cfg.Orders, cfg)
 	})
 	for _, err := range errs {
@@ -235,37 +233,6 @@ func Run(t *Target, cfg CampaignConfig) (*Campaign, error) {
 	}
 	c.Summary.Elapsed = time.Since(start)
 	return c, nil
-}
-
-// forEach runs f(0..n-1) on at most workers goroutines and waits — the
-// same index-addressed pool discipline the harness uses for Figure 8
-// trials.
-func forEach(workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // FormatSummaries renders campaign summaries as a table, with per-bucket

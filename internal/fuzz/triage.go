@@ -154,7 +154,7 @@ func Triage(t *Target, cfg TriageConfig) (*TriageResult, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	forEach(workers, len(programs), func(i int) {
+	checker.ForEach(workers, len(programs), func(i int) {
 		screens[i].screen, screens[i].execs, screens[i].err = screenOne(t, programs[i], cfg)
 	})
 
@@ -195,7 +195,7 @@ func Triage(t *Target, cfg TriageConfig) (*TriageResult, error) {
 		Orders:   cfg.Orders,
 	}
 	errs := make([]error, len(flagged))
-	forEach(workers, len(flagged), func(i int) {
+	checker.ForEach(workers, len(flagged), func(i int) {
 		h := flagged[i]
 		h.Verdict, errs[i] = t.Check(h.Program, cfg.Orders, ccfg)
 		if errs[i] == nil && cfg.Shrink && h.Verdict.Failure != nil {

@@ -12,8 +12,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checker"
@@ -110,37 +108,6 @@ func (o Options) ExplorerConfig(name string) checker.Config {
 		cfg.Progress = func(p checker.Progress) { o.Progress(name, p) }
 	}
 	return cfg
-}
-
-// forEach runs f(0..n-1) on at most workers goroutines and waits for all
-// of them. Callers write results into index-addressed slots, so the
-// output order is deterministic regardless of scheduling.
-func forEach(workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Benchmark bundles one paper benchmark: its spec, parameterized orders,
@@ -263,7 +230,7 @@ func (b *Benchmark) RunFig8(opts Options) Fig8Row {
 	hits := make([]*checker.Failure, len(weaks))
 	trialExecs := make([]int, len(weaks))
 	trialStats := make([]checker.Stats, len(weaks))
-	forEach(opts.workerCount(), len(weaks), func(i int) {
+	checker.ForEach(opts.workerCount(), len(weaks), func(i int) {
 		for _, prog := range b.Progs(weaks[i]) {
 			cfg := opts.ExplorerConfig(b.Name)
 			cfg.StopAtFirst = true
@@ -313,7 +280,7 @@ func (b *Benchmark) RunFig8(opts Options) Fig8Row {
 func RunAllFig7(opts Options) []Fig7Row {
 	bs := Benchmarks()
 	rows := make([]Fig7Row, len(bs))
-	forEach(opts.workerCount(), len(bs), func(i int) {
+	checker.ForEach(opts.workerCount(), len(bs), func(i int) {
 		rows[i] = bs[i].RunFig7(opts)
 	})
 	return rows

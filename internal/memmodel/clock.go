@@ -16,17 +16,11 @@ const inlineClockSize = 8
 // clocks at the moment the edge is created.
 //
 // Storage discipline: clocks up to inlineClockSize entries live in the
-// struct itself (c aliases inline); larger clocks use a heap slice.
-// Share produces a read-shared snapshot in O(1) for heap-backed clocks
-// (copy-on-write: the first mutation of either side copies); inline
-// clocks are snapshotted by a plain copy, which is both allocation-cheap
-// and avoids aliasing two structs' inline arrays.
+// struct itself (c aliases inline); larger clocks use a heap slice. A
+// clock owns its storage: snapshots are copies (Clone, or CopyFrom into
+// a recycled clock), never aliases.
 type ClockVector struct {
-	c []uint32
-	// shared marks the backing array as referenced by another ClockVector
-	// (the result of a heap-backed Share). Mutating methods copy the
-	// array before the first write while shared is set.
-	shared bool
+	c      []uint32
 	inline [inlineClockSize]uint32
 }
 
@@ -46,7 +40,6 @@ func (v *ClockVector) Set(tid int, seq uint32) {
 	if tid < len(v.c) && v.c[tid] >= seq {
 		return
 	}
-	v.ensureWritable()
 	v.grow(tid + 1)
 	if seq > v.c[tid] {
 		v.c[tid] = seq
@@ -54,32 +47,24 @@ func (v *ClockVector) Set(tid int, seq uint32) {
 }
 
 // Merge raises every entry of v to at least the corresponding entry of o
-// and reports whether any entry changed. A nil o is a no-op.
+// and reports whether any entry changed, so callers can invalidate
+// epoch-keyed caches precisely. A nil o is a no-op, and a merge that
+// changes nothing leaves v's length alone.
 func (v *ClockVector) Merge(o *ClockVector) bool {
 	if o == nil {
 		return false
 	}
-	// First pass: detect whether the merge changes anything, so a shared
-	// (copy-on-write) clock is only copied when a write really happens and
-	// the caller can invalidate epoch-keyed caches precisely.
 	changed := false
 	for i, s := range o.c {
 		if s > v.Get(i) {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return false
-	}
-	v.ensureWritable()
-	v.grow(len(o.c))
-	for i, s := range o.c {
-		if s > v.c[i] {
+			if !changed {
+				v.grow(len(o.c))
+				changed = true
+			}
 			v.c[i] = s
 		}
 	}
-	return true
+	return changed
 }
 
 // Clone returns an independent deep copy of v.
@@ -89,50 +74,25 @@ func (v *ClockVector) Clone() *ClockVector {
 	return n
 }
 
-// Share returns a read-only snapshot of v's current value in O(1) for
-// heap-backed clocks: the snapshot shares v's backing array and both
-// sides copy on their next write. Inline-backed clocks (the common case)
-// are snapshotted by value instead — a small copy with no aliasing.
-// Mutating a snapshot is safe (copy-on-write) but defeats the sharing.
-func (v *ClockVector) Share() *ClockVector {
-	if len(v.c) <= inlineClockSize {
-		n := &ClockVector{}
-		n.c = n.inline[:len(v.c)]
-		copy(n.c, v.c)
-		return n
-	}
-	v.shared = true
-	return &ClockVector{c: v.c, shared: true}
-}
-
 // CopyFrom overwrites v with o's value, reusing v's storage when it has
 // the capacity. The execution pool uses it to snapshot clocks into
 // recycled ClockVectors without allocating.
 func (v *ClockVector) CopyFrom(o *ClockVector) {
 	n := len(o.c)
 	switch {
-	case v.shared || cap(v.c) < n:
-		if n <= inlineClockSize {
-			v.c = v.inline[:n]
-		} else {
-			v.c = make([]uint32, n)
-		}
-		v.shared = false
-	default:
+	case cap(v.c) >= n:
 		v.c = v.c[:n]
+	case n <= inlineClockSize:
+		v.c = v.inline[:n]
+	default:
+		v.c = make([]uint32, n)
 	}
 	copy(v.c, o.c)
 }
 
 // Reset empties the clock (all zeros, length 0), retaining capacity for
-// reuse. A shared backing array is abandoned rather than zeroed, so
-// resetting one side of a Share never corrupts the other.
+// reuse.
 func (v *ClockVector) Reset() {
-	if v.shared {
-		v.c = nil
-		v.shared = false
-		return
-	}
 	for i := range v.c {
 		v.c[i] = 0
 	}
@@ -162,23 +122,9 @@ func (v *ClockVector) DominatedBy(o *ClockVector) bool {
 // Len returns the number of thread slots the clock currently tracks.
 func (v *ClockVector) Len() int { return len(v.c) }
 
-// ensureWritable copies the backing array if it is shared with another
-// ClockVector, so the pending mutation cannot be observed through the
-// other side of the Share.
-func (v *ClockVector) ensureWritable() {
-	if !v.shared {
-		return
-	}
-	nc := make([]uint32, len(v.c))
-	copy(nc, v.c)
-	v.c = nc
-	v.shared = false
-}
-
 // grow extends the clock to at least n entries in a single step: within
 // existing capacity it zeroes the extension (recycled storage may hold
 // stale values), otherwise it allocates once with doubling growth.
-// The caller must hold a writable (non-shared) backing array.
 func (v *ClockVector) grow(n int) {
 	if n <= len(v.c) {
 		return

@@ -91,7 +91,9 @@ func clockFromSlice(s []uint32) *ClockVector {
 }
 
 // TestClockMergeIsJoin (property): merge computes the least upper bound —
-// it dominates both inputs and is dominated by any other upper bound.
+// it dominates both inputs and is dominated by any other upper bound —
+// and reports a change exactly when b was not already below a, leaving a
+// clock it does not change untouched.
 func TestClockMergeIsJoin(t *testing.T) {
 	f := func(xs, ys []uint32) bool {
 		if len(xs) > 8 {
@@ -103,8 +105,11 @@ func TestClockMergeIsJoin(t *testing.T) {
 		a := clockFromSlice(xs)
 		b := clockFromSlice(ys)
 		m := a.Clone()
-		m.Merge(b)
+		changed := m.Merge(b)
 		if !a.DominatedBy(m) || !b.DominatedBy(m) {
+			return false
+		}
+		if changed == b.DominatedBy(a) || (!changed && m.Len() != a.Len()) {
 			return false
 		}
 		n := max(len(xs), len(ys))
@@ -177,65 +182,6 @@ func TestActionSCBefore(t *testing.T) {
 	}
 }
 
-func TestClockShareCopyOnWrite(t *testing.T) {
-	// Inline-backed share: plain copy, fully independent.
-	a := NewClockVector()
-	a.Set(0, 5)
-	a.Set(3, 2)
-	s := a.Share()
-	a.Set(0, 9)
-	s.Set(3, 7)
-	if s.Get(0) != 5 || a.Get(3) != 2 {
-		t.Errorf("inline share not independent: s[0]=%d a[3]=%d", s.Get(0), a.Get(3))
-	}
-
-	// Heap-backed share: backing array is shared until first write.
-	big := NewClockVector()
-	for i := 0; i <= inlineClockSize; i++ {
-		big.Set(i, uint32(i+1))
-	}
-	snap := big.Share()
-	big.Set(0, 100) // must copy, not corrupt snap
-	if snap.Get(0) != 1 {
-		t.Errorf("mutating original leaked into shared snapshot: got %d", snap.Get(0))
-	}
-	snap2 := big.Share()
-	snap2.Set(1, 100) // mutating the snapshot must copy too
-	if big.Get(1) != 2 {
-		t.Errorf("mutating snapshot leaked into original: got %d", big.Get(1))
-	}
-	// Growing a shared clock must not extend into the shared backing array.
-	snap3 := big.Share()
-	big.Set(inlineClockSize+5, 1)
-	if snap3.Len() > inlineClockSize+1 || snap3.Get(inlineClockSize+5) != 0 {
-		t.Error("growing original extended shared snapshot")
-	}
-}
-
-func TestClockShareMergeNoChangeKeepsSharing(t *testing.T) {
-	big := NewClockVector()
-	for i := 0; i <= inlineClockSize; i++ {
-		big.Set(i, 10)
-	}
-	snap := big.Share()
-	small := NewClockVector()
-	small.Set(0, 3)
-	if snap.Merge(small) {
-		t.Error("dominated merge reported a change")
-	}
-	if snap.Merge(big) {
-		t.Error("self-valued merge reported a change")
-	}
-	other := NewClockVector()
-	other.Set(1, 99)
-	if !snap.Merge(other) {
-		t.Error("raising merge did not report a change")
-	}
-	if big.Get(1) == 99 {
-		t.Error("merge into snapshot leaked into original")
-	}
-}
-
 func TestClockGrowZeroesRecycledCapacity(t *testing.T) {
 	v := NewClockVector()
 	for i := 0; i < 2*inlineClockSize; i++ {
@@ -250,21 +196,6 @@ func TestClockGrowZeroesRecycledCapacity(t *testing.T) {
 		if v.Get(i) != 0 {
 			t.Fatalf("stale value survived Reset+grow at %d: %d", i, v.Get(i))
 		}
-	}
-}
-
-func TestClockResetOfSharedSnapshot(t *testing.T) {
-	big := NewClockVector()
-	for i := 0; i <= inlineClockSize; i++ {
-		big.Set(i, 7)
-	}
-	snap := big.Share()
-	snap.Reset()
-	if big.Get(0) != 7 {
-		t.Error("resetting a shared snapshot zeroed the original")
-	}
-	if snap.Len() != 0 {
-		t.Error("Reset did not empty the snapshot")
 	}
 }
 
@@ -336,26 +267,10 @@ func BenchmarkClockMerge(b *testing.B) {
 }
 
 func BenchmarkClockSnapshot(b *testing.B) {
-	small := NewClockVector()
-	for i := 0; i < 4; i++ {
-		small.Set(i, uint32(i+1))
-	}
-	b.Run("share-inline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = small.Share()
-		}
-	})
 	big := NewClockVector()
 	for i := 0; i < 4*inlineClockSize; i++ {
 		big.Set(i, uint32(i+1))
 	}
-	b.Run("share-heap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = big.Share()
-		}
-	})
 	b.Run("clone-heap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

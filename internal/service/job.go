@@ -77,7 +77,8 @@ type JobSpec struct {
 	Benchmark string `json:"benchmark"`
 	// Model is the consistency model (empty = c11). An explore job that
 	// resumes a checkpoint explored under another model fails
-	// (checker.Config.Validate refuses it).
+	// (checker.Config.Validate refuses it). Triage runs only c11, so
+	// Validate refuses a triage job that names another model.
 	Model string `json:"model,omitempty"`
 	// MaxExecutions bounds the exploration / run budget (0 = exhaustive
 	// for explore, engine default for fast/triage).
@@ -121,6 +122,11 @@ func (js *JobSpec) Validate() error {
 	}
 	if _, err := model.Parse(js.Model); err != nil {
 		return err
+	}
+	if js.KindOrDefault() == KindTriage && js.ModelID() != model.C11 {
+		// Triage generates and checks programs under c11 only; a job that
+		// named another model would be journaled with a model it never ran.
+		return fmt.Errorf("triage jobs run only the %s model, not %q", model.C11, js.Model)
 	}
 	if js.MaxExecutions < 0 || js.Count < 0 || js.Budget < 0 || js.FastRuns < 0 {
 		return fmt.Errorf("job budgets must be >= 0")

@@ -181,6 +181,7 @@ func TestServiceSubmitValidation(t *testing.T) {
 		{Benchmark: "No Such Structure"},   // unknown benchmark
 		{Benchmark: "RCU", Kind: "exhume"}, // unknown kind
 		{Benchmark: "RCU", Model: "tso"},   // unknown model
+		{Benchmark: "RCU", Kind: KindTriage, Model: "sc"}, // triage runs c11 only
 		{Benchmark: "RCU", MaxExecutions: -1},
 		{Benchmark: "RCU", Deadline: -time.Second},
 	}
