@@ -217,11 +217,14 @@ func (c *cli) shrinkCmd(name string) int {
 	return 0
 }
 
-// listVerbose prints each benchmark with its fuzzable op registry and
-// memory-order sites (the -weaken and shrink vocabulary).
-func (c *cli) listVerbose() {
+// list prints the benchmark names; with -v, each one's fuzzable op
+// registry and memory-order sites (the -weaken and shrink vocabulary).
+func (c *cli) list() int {
 	for _, b := range harness.Benchmarks() {
 		fmt.Fprintln(c.stdout, b.Name)
+		if !c.verbose {
+			continue
+		}
 		reg := b.Ops()
 		for _, r := range reg.Roles {
 			cap := "unlimited"
@@ -247,4 +250,5 @@ func (c *cli) listVerbose() {
 			fmt.Fprintf(c.stdout, "  site %s (default %s)\n", s.Name, s.Default)
 		}
 	}
+	return 0
 }

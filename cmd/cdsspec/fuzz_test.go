@@ -32,7 +32,7 @@ func TestListVerbose(t *testing.T) {
 // snapshot whose Fuzz summaries carry the campaign counts.
 func TestFuzzJSONSnapshot(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"fuzz", "-json", "-model", "c11", "-reduce", "none", "-seed", "5", "-count", "6", "-budget", "1500", "SPSC Queue"}, &out, &errOut)
+	code := run([]string{"fuzz", "-json", "-seed", "5", "-count", "6", "-budget", "1500", "SPSC Queue"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("fuzz -json exited %d: %s", code, errOut.String())
 	}

@@ -1,8 +1,8 @@
 // Command cdsspec reproduces the paper's evaluation from the command
 // line:
 //
-//	cdsspec fig7 [-json]         regenerate Figure 7 (benchmark results)
-//	cdsspec fig8 [-json]         regenerate Figure 8 (bug-injection detection)
+//	cdsspec fig7                 regenerate Figure 7 (benchmark results)
+//	cdsspec fig8                 regenerate Figure 8 (bug-injection detection)
 //	cdsspec knownbugs            reproduce the §6.4.1 known bugs
 //	cdsspec overlystrong         reproduce the §6.4.3 overly strong CAS
 //	cdsspec specstats            print the §6.2 specification statistics
@@ -21,38 +21,18 @@
 //	cdsspec jobs                 list a daemon's jobs
 //	cdsspec watch <job-id>       stream one job's progress until it ends
 //	cdsspec cancel <job-id>      cancel a queued or running job
-//	cdsspec list [-v]            list benchmark names (-v: ops, roles, sites)
+//	cdsspec list                 list benchmark names
 //	cdsspec all                  run every experiment in sequence
 //
-// Flags: -workers N (global or per-subcommand: the experiment worker
-// pool, and the exploration workers of explore, resume, diff, fastrun
-// and submit), and per-subcommand -json (machine-readable output),
-// -progress (periodic progress to stderr), -model (consistency model:
-// c11, sc, or scatomics — see DESIGN.md; fuzz, shrink, triage,
-// knownbugs and overlystrong run c11 only and refuse any other), -reduce
-// (execution-equivalence reductions: all, none, or a comma list of
-// rf,symmetry,spinloop — default all for explore, none elsewhere;
-// honored by run, resume, dot, json, fig7 and fig8, and refused by fuzz,
-// shrink, triage, knownbugs, overlystrong, fastrun and submit), and
-// -cpuprofile/-memprofile (write pprof profiles of the subcommand).
-// The diff subcommand names its two legs' models with -a (default c11)
-// and -b (default sc) instead of -model; leg A runs unreduced and leg B
-// under -reduce. It exits 1 when the two legs share a model and observe
-// different behavior or failure sets (a reduction soundness bug). The
-// explore and resume
-// subcommands add -max, -checkpoint, -checkpoint-every and -verify (see
-// their help text); a SIGINT stops them gracefully and writes a final
-// checkpoint. Resume adopts the checkpoint's model and reduction set and
-// refuses an explicit -model or -reduce that disagrees with them.
-// The fuzz and shrink subcommands add -seed, -count, -budget, -corpus,
-// -weaken and -index. The fastrun subcommand adds -seed, -max (run
-// budget) and -time (wall-clock budget). Subcommand flags go
-// between the subcommand and its positional arguments: cdsspec run
-// -progress "M&S Queue".
+// Each verb parses only the flags it reads and refuses any other;
+// `cdsspec <verb> -h` lists them. Flags go between the verb and its
+// positional arguments (cdsspec run -progress "M&S Queue"); -workers may
+// also precede the verb (cdsspec -workers 4 fig7).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -72,8 +52,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// cli carries one invocation's parsed flags and output streams, so run
-// is testable without touching process state.
+// cli carries one invocation's flag values and output streams, so run
+// is testable without touching process state. A verb's flag set binds
+// only the fields its body reads; the rest keep their zero values.
 type cli struct {
 	stdout, stderr io.Writer
 	workers        int
@@ -86,21 +67,14 @@ type cli struct {
 	// concurrent explorations (Figure 8 trials) report through it.
 	progressMu sync.Mutex
 
-	// -model: consistency model for the explored executions. model is
-	// the parsed ID; modelSet records whether the flag was given
-	// explicitly (resume adopts the checkpoint's model when it wasn't).
-	model    model.ID
-	modelSet bool
+	// -model: consistency model of the explored executions.
+	model model.ID
 
-	// -reduce: execution-equivalence reductions. reduce is the parsed
-	// set; reduceGiven records whether the flag was given explicitly
-	// (explore defaults to all reductions, resume adopts the checkpoint's
-	// set).
-	reduce      checker.ReduceSet
-	reduceGiven bool
+	// -reduce: execution-equivalence reductions.
+	reduce checker.ReduceSet
 
 	// diff -a/-b.
-	diffA, diffB string
+	diffA, diffB model.ID
 
 	// explore / resume flags.
 	maxExecs        int
@@ -165,83 +139,213 @@ func (c *cli) opts() harness.Options {
 
 const timeUnit = 1e6 // round displayed durations to milliseconds
 
+// A verb is one cdsspec subcommand. Its flag set holds only the flags
+// its body reads, so the flag package refuses any other with exit 2,
+// and its -h text comes from this entry and that flag set.
+type verb struct {
+	name string
+	// args names the positional arguments; a [bracketed] one is
+	// optional, and one beyond them is refused.
+	args  string
+	about string
+	// flags names the flags the body reads, each registered by define.
+	// Every verb also takes -cpuprofile and -memprofile.
+	flags string
+	run   func(c *cli, fs *flag.FlagSet) int
+}
+
+var verbs = []verb{
+	{"fig7", "", "regenerate Figure 7 (benchmark results)",
+		"workers json progress model reduce", func(c *cli, _ *flag.FlagSet) int { return c.fig7() }},
+	{"fig8", "", "regenerate Figure 8 (bug-injection detection)",
+		"workers json progress model reduce", func(c *cli, _ *flag.FlagSet) int { return c.fig8() }},
+	{"knownbugs", "", "reproduce the §6.4.1 known bugs",
+		"", func(c *cli, _ *flag.FlagSet) int { return c.knownBugs() }},
+	{"overlystrong", "", "reproduce the §6.4.3 overly strong CAS",
+		"", func(c *cli, _ *flag.FlagSet) int { return c.overlyStrong() }},
+	{"specstats", "", "print the §6.2 specification statistics",
+		"", func(c *cli, _ *flag.FlagSet) int { return c.specStats() }},
+	{"run", "<benchmark>", "explore one benchmark's unit test (its Figure 7 and 8 rows)",
+		"workers json progress model reduce", func(c *cli, fs *flag.FlagSet) int { return c.runOne(fs.Arg(0)) }},
+	{"explore", "<benchmark>", "parallel exploration; SIGINT stops it with a final checkpoint",
+		"workers json progress model reduce max checkpoint checkpoint-every", func(c *cli, fs *flag.FlagSet) int { return c.exploreCmd(fs.Arg(0)) }},
+	{"resume", "<file>", "resume a checkpointed exploration under its model and reductions",
+		"workers json progress model reduce max checkpoint checkpoint-every verify", (*cli).resumeCmd},
+	{"fastrun", "<benchmark>", "fast-mode screen (random plausible executions, built-in checks)",
+		"seed max time workers json model", func(c *cli, fs *flag.FlagSet) int { return c.fastRunCmd(fs.Arg(0)) }},
+	{"dot", "<benchmark>", "print one execution as a Graphviz graph",
+		"model reduce progress", func(c *cli, fs *flag.FlagSet) int { return c.dotOne(fs.Arg(0)) }},
+	{"json", "<benchmark>", "print one execution + stats as JSON",
+		"model reduce progress", func(c *cli, fs *flag.FlagSet) int { return c.jsonOne(fs.Arg(0)) }},
+	{"diff", "<target>", "diff leg A (-a, unreduced) against leg B (-b, -reduce) on a litmus test or benchmark",
+		"a b reduce workers json progress", func(c *cli, fs *flag.FlagSet) int { return c.diffCmd(fs.Arg(0)) }},
+	{"fuzz", "[benchmark]", "run generative campaigns (§6.4's unit-test gap)",
+		"seed count budget corpus weaken workers json progress", func(c *cli, fs *flag.FlagSet) int { return c.fuzzCmd(fs.Args()) }},
+	{"triage", "<benchmark>", "screen→confirm→shrink triage over generated programs",
+		"seed count budget fastruns shrink corpus weaken workers json", func(c *cli, fs *flag.FlagSet) int { return c.triageCmd(fs.Arg(0)) }},
+	{"shrink", "<benchmark>", "minimize a failing generated program",
+		"seed count budget corpus weaken index workers json progress", func(c *cli, fs *flag.FlagSet) int { return c.shrinkCmd(fs.Arg(0)) }},
+	{"serve", "", "run the verification-service daemon",
+		"state addr jobs checkpoint-every", func(c *cli, _ *flag.FlagSet) int { return c.serveCmd() }},
+	{"submit", "<benchmark>", "submit a job to a running daemon",
+		"state addr kind max workers deadline model checkpoint-every seed count budget fastruns shrink json", func(c *cli, fs *flag.FlagSet) int { return c.submitCmd(fs.Arg(0)) }},
+	{"jobs", "", "list a daemon's jobs",
+		"state addr json", func(c *cli, _ *flag.FlagSet) int { return c.jobsCmd() }},
+	{"watch", "<job-id>", "stream one job's progress until it ends",
+		"state addr json", func(c *cli, fs *flag.FlagSet) int { return c.watchCmd(fs.Arg(0)) }},
+	{"cancel", "<job-id>", "cancel a queued or running job",
+		"state addr json", func(c *cli, fs *flag.FlagSet) int { return c.cancelCmd(fs.Arg(0)) }},
+	{"list", "", "list benchmark names",
+		"v", func(c *cli, _ *flag.FlagSet) int { return c.list() }},
+	{"all", "", "run every experiment in sequence (c11, unreduced)",
+		"workers progress", func(c *cli, _ *flag.FlagSet) int { return c.all() }},
+}
+
+// define registers the flag name on fs, bound to its field of c, with
+// its default and help text. The defaults of -reduce on explore and of
+// -model and -reduce on resume are the only ones that depend on the verb.
+func (c *cli) define(fs *flag.FlagSet, name string) {
+	switch name {
+	case "workers":
+		fs.IntVar(&c.workers, name, c.workers, "worker goroutines: of an experiment or program pool (0 = GOMAXPROCS), or of one exploration (0 = one)")
+	case "json":
+		fs.BoolVar(&c.jsonOut, name, false, "emit machine-readable JSON instead of text")
+	case "progress":
+		fs.BoolVar(&c.progress, name, false, "print periodic exploration progress to stderr")
+	case "model":
+		note := "(default c11)"
+		if fs.Name() == "resume" {
+			note = checkpointDefault
+		}
+		modelVar(fs, &c.model, name, model.Default(), "consistency `model`: c11, sc, or scatomics "+note)
+	case "reduce":
+		note := "(default none)"
+		switch fs.Name() {
+		case "explore":
+			c.reduce, note = checker.ReduceAll(), "(default all)"
+		case "resume":
+			note = checkpointDefault
+		}
+		fs.Func(name, "execution-equivalence reduction `set`: all, none, or a comma list of rf,symmetry,spinloop "+note, func(s string) (err error) {
+			c.reduce, err = checker.ParseReduce(s)
+			return err
+		})
+	case "a":
+		modelVar(fs, &c.diffA, name, model.C11, "`model` of leg A, explored unreduced (default c11)")
+	case "b":
+		modelVar(fs, &c.diffB, name, model.SC, "`model` of leg B, explored under -reduce (default sc)")
+	case "max":
+		fs.IntVar(&c.maxExecs, name, 0, "execution budget, a resumed checkpoint's executions included (0 = exhaustive, or 1000 fast-mode runs)")
+	case "checkpoint":
+		fs.StringVar(&c.checkpointPath, name, "", "write the exploration checkpoint to this file (resume: default the file it resumes)")
+	case "checkpoint-every":
+		fs.DurationVar(&c.checkpointEvery, name, 0, "periodic checkpoint interval (0 = none, or the daemon's default of 2s)")
+	case "verify":
+		fs.BoolVar(&c.verify, name, false, "re-explore from scratch with one worker and require a bit-identical result")
+	case "time":
+		fs.DurationVar(&c.timeBudget, name, 0, "wall-clock budget (0 = run budget only)")
+	case "seed":
+		fs.Uint64Var(&c.seed, name, 1, "seed of the program generator and of fast-mode runs (same seed = same result)")
+	case "count":
+		fs.IntVar(&c.count, name, 25, "programs to generate per benchmark")
+	case "budget":
+		fs.IntVar(&c.budget, name, 5000, "max executions explored per generated program (0 = exhaustive)")
+	case "corpus":
+		fs.StringVar(&c.corpusPath, name, "", "on-disk corpus JSON that failures accumulate in")
+	case "weaken":
+		fs.StringVar(&c.weaken, name, "", "weaken this memory-order site one step, seeding a bug (sites: cdsspec list -v)")
+	case "index":
+		fs.IntVar(&c.index, name, 0, "corpus entry index among the benchmark's entries")
+	case "fastruns":
+		fs.IntVar(&c.fastRuns, name, 0, "fast-mode screen runs per program (0 = 200)")
+	case "shrink":
+		fs.BoolVar(&c.shrinkHits, name, false, "minimize confirmed reproducers")
+	case "v":
+		fs.BoolVar(&c.verbose, name, false, "include op registries, roles and memory-order sites")
+	case "state":
+		fs.StringVar(&c.stateDir, name, "", "daemon state directory (journal + checkpoints); clients read its addr file")
+	case "addr":
+		fs.StringVar(&c.addr, name, "", "daemon address (serve: listen address, default 127.0.0.1:0)")
+	case "jobs":
+		fs.IntVar(&c.jobWorkers, name, 1, "concurrent job workers")
+	case "kind":
+		fs.StringVar(&c.jobKind, name, "", "job kind: explore, fast, or triage (default explore)")
+	case "deadline":
+		fs.DurationVar(&c.deadline, name, 0, "per-job wall-clock budget (0 = none)")
+	case "cpuprofile":
+		fs.StringVar(&c.cpuProfile, name, "", "write a pprof CPU profile of the subcommand to this file")
+	case "memprofile":
+		fs.StringVar(&c.memProfile, name, "", "write a pprof heap profile after the subcommand to this file")
+	default:
+		panic("cdsspec: no flag " + name)
+	}
+}
+
+// checkpointDefault is the default resume gives -model and -reduce.
+const checkpointDefault = "(default: the checkpoint's; another is refused)"
+
+// modelVar registers a model flag on fs with default def; model.Parse
+// refuses an unknown name while the flags are parsed.
+func modelVar(fs *flag.FlagSet, p *model.ID, name string, def model.ID, usage string) {
+	*p = def
+	fs.Func(name, usage, func(s string) (err error) {
+		*p, err = model.Parse(s)
+		return err
+	})
+}
+
+// given reports whether the command line set fs's flag name.
+func given(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	c := &cli{stdout: stdout, stderr: stderr}
 	global := flag.NewFlagSet("cdsspec", flag.ContinueOnError)
-	global.SetOutput(stderr)
-	global.Usage = func() { usage(stderr) }
-	globalWorkers := global.Int("workers", 0, "worker pool size for experiments (0 = GOMAXPROCS)")
+	global.SetOutput(io.Discard)
+	global.IntVar(&c.workers, "workers", 0, "")
 	if err := global.Parse(args); err != nil {
-		return 2
-	}
-	c.workers = *globalWorkers
-	rest := global.Args()
-	if len(rest) < 1 {
+		if errors.Is(err, flag.ErrHelp) {
+			usage(stdout)
+			return 0
+		}
+		fmt.Fprintf(stderr, "cdsspec: %v\n", err)
 		usage(stderr)
 		return 2
 	}
-	cmd := rest[0]
-
-	// The global flag.Parse stops at the first non-flag argument, so
-	// trailing flags (cdsspec fig7 -json) need a second, per-subcommand
-	// parse over everything after the subcommand name.
-	sub := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	sub.SetOutput(stderr)
-	subWorkers := sub.Int("workers", c.workers, "worker pool size (0 = GOMAXPROCS); explore/resume/diff/fastrun: exploration workers (0 = one); submit: the job's workers")
-	sub.BoolVar(&c.jsonOut, "json", false, "emit machine-readable JSON instead of tables")
-	sub.BoolVar(&c.progress, "progress", false, "print periodic exploration progress to stderr")
-	sub.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the subcommand to this file")
-	sub.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile after the subcommand to this file")
-	sub.Uint64Var(&c.seed, "seed", 1, "fuzz: program generator seed (same seed = same batch)")
-	sub.IntVar(&c.count, "count", 25, "fuzz: programs to generate per benchmark")
-	sub.IntVar(&c.budget, "budget", 5000, "fuzz: max executions explored per program (0 = exhaustive)")
-	sub.StringVar(&c.corpusPath, "corpus", "", "fuzz/shrink: on-disk corpus JSON to accumulate failures in")
-	sub.StringVar(&c.weaken, "weaken", "", "fuzz/shrink: weaken this memory-order site one step (seeded bug)")
-	sub.IntVar(&c.index, "index", 0, "shrink: corpus entry index among the benchmark's entries")
-	sub.BoolVar(&c.verbose, "v", false, "list: include op registries and memory-order sites")
-	sub.IntVar(&c.maxExecs, "max", 0, "explore/resume: total execution budget incl. checkpointed work (0 = exhaustive)")
-	sub.StringVar(&c.checkpointPath, "checkpoint", "", "explore/resume: write the exploration checkpoint to this file")
-	sub.DurationVar(&c.checkpointEvery, "checkpoint-every", 0, "explore/resume: also checkpoint periodically at this interval")
-	sub.BoolVar(&c.verify, "verify", false, "resume: re-explore from scratch with one worker and require a bit-identical result")
-	sub.DurationVar(&c.timeBudget, "time", 0, "fastrun: wall-clock budget for the screen (0 = run budget only)")
-	sub.StringVar(&c.addr, "addr", "", "serve: listen address (default 127.0.0.1:0); submit/jobs/watch/cancel: daemon address")
-	sub.StringVar(&c.stateDir, "state", "", "serve: state directory (journal + checkpoints); clients read its addr file")
-	sub.IntVar(&c.jobWorkers, "jobs", 1, "serve: concurrent job workers")
-	sub.StringVar(&c.jobKind, "kind", "", "submit: job kind (explore, fast, or triage; default explore)")
-	sub.DurationVar(&c.deadline, "deadline", 0, "submit: per-job wall-clock budget (0 = none)")
-	sub.IntVar(&c.fastRuns, "fastruns", 0, "triage: fast-mode screen runs per program (0 = default 200)")
-	sub.BoolVar(&c.shrinkHits, "shrink", false, "triage: minimize confirmed reproducers")
-	modelName := sub.String("model", "", "consistency model: c11 (default), sc, or scatomics")
-	reduceName := sub.String("reduce", "", "execution-equivalence reductions: all, none, or a comma list of rf,symmetry,spinloop (explore default: all; elsewhere: none)")
-	sub.StringVar(&c.diffA, "a", "c11", "diff: model of leg A (explored unreduced)")
-	sub.StringVar(&c.diffB, "b", "sc", "diff: model of leg B (explored under -reduce)")
-	if err := sub.Parse(rest[1:]); err != nil {
+	if global.NArg() == 0 {
+		usage(stderr)
 		return 2
 	}
-	c.workers = *subWorkers
-	id, err := model.Parse(*modelName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	c.model = id
-	red, err := checker.ParseReduce(*reduceName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	c.reduce = red
-	sub.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "model":
-			c.modelSet = true
-		case "reduce":
-			c.reduceGiven = true
+	var v *verb
+	for i := range verbs {
+		if verbs[i].name == global.Arg(0) {
+			v = &verbs[i]
 		}
-	})
-	pos := sub.Args()
-	if msg := c.unreadFlag(cmd); msg != "" {
-		fmt.Fprintln(stderr, msg)
+	}
+	if v == nil {
+		fmt.Fprintf(stderr, "cdsspec: unknown verb %q\n", global.Arg(0))
+		usage(stderr)
+		return 2
+	}
+
+	fs := v.flagSet(c)
+	var msg string
+	switch err := fs.Parse(global.Args()[1:]); {
+	case errors.Is(err, flag.ErrHelp):
+		v.usage(stdout, fs)
+		return 0
+	case err != nil:
+		msg = err.Error()
+	case global.NFlag() > 0 && fs.Lookup("workers") == nil:
+		msg = "flag provided but not defined: -workers"
+	default:
+		msg = v.checkArgs(fs.Args())
+	}
+	if msg != "" {
+		fmt.Fprintf(stderr, "cdsspec %s: %s (see cdsspec %s -h)\n", v.name, msg, v.name)
 		return 2
 	}
 
@@ -257,156 +361,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "stopping profiles: %v\n", err)
 		}
 	}()
-
-	switch cmd {
-	case "fig7":
-		return c.fig7()
-	case "fig8":
-		return c.fig8()
-	case "knownbugs":
-		c.knownBugs()
-	case "overlystrong":
-		c.overlyStrong()
-	case "specstats":
-		c.specStats()
-	case "list":
-		if c.verbose {
-			c.listVerbose()
-			break
-		}
-		for _, b := range harness.Benchmarks() {
-			fmt.Fprintln(c.stdout, b.Name)
-		}
-	case "fuzz":
-		return c.fuzzCmd(pos)
-	case "shrink":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec shrink [-seed N] [-count N] [-budget N] [-weaken site] [-corpus file [-index N]] [-json] <benchmark>")
-			return 2
-		}
-		return c.shrinkCmd(pos[0])
-	case "run":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec run [-workers N] [-json] [-progress] <benchmark>")
-			return 2
-		}
-		return c.runOne(pos[0])
-	case "explore":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec explore [-workers N] [-max N] [-checkpoint file] [-checkpoint-every dur] [-json] [-progress] <benchmark>")
-			return 2
-		}
-		return c.exploreCmd(pos[0])
-	case "resume":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec resume [-workers N] [-max N] [-checkpoint file] [-verify] [-json] [-progress] <file>")
-			return 2
-		}
-		return c.resumeCmd(pos[0])
-	case "dot":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec dot <benchmark>")
-			return 2
-		}
-		return c.dotOne(pos[0])
-	case "json":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec json [-progress] <benchmark>")
-			return 2
-		}
-		return c.jsonOne(pos[0])
-	case "fastrun":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec fastrun [-seed N] [-max N] [-time dur] [-workers N] [-json] <benchmark>")
-			return 2
-		}
-		return c.fastRunCmd(pos[0])
-	case "diff":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec diff [-a model] [-b model] [-reduce set] [-workers N] [-json] <target>")
-			fmt.Fprintf(stderr, "targets: %s\n", strings.Join(harness.DiffTargets(), ", "))
-			return 2
-		}
-		return c.diffCmd(pos[0])
-	case "serve":
-		return c.serveCmd()
-	case "submit":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec submit {-state dir|-addr host:port} [-kind explore|fast|triage] [-max N] [-workers N] [-deadline dur] [-model m] [-seed N] [-count N] [-budget N] [-fastruns N] [-shrink] [-json] <benchmark>")
-			return 2
-		}
-		return c.submitCmd(pos[0])
-	case "jobs":
-		return c.jobsCmd()
-	case "watch":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec watch {-state dir|-addr host:port} [-json] <job-id>")
-			return 2
-		}
-		return c.watchCmd(pos[0])
-	case "cancel":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec cancel {-state dir|-addr host:port} [-json] <job-id>")
-			return 2
-		}
-		return c.cancelCmd(pos[0])
-	case "triage":
-		if len(pos) < 1 {
-			fmt.Fprintln(stderr, "usage: cdsspec triage [-seed N] [-count N] [-budget N] [-fastruns N] [-shrink] [-corpus file] [-weaken site] [-json] <benchmark>")
-			return 2
-		}
-		return c.triageCmd(pos[0])
-	case "all":
-		if code := c.fig7(); code != 0 {
-			return code
-		}
-		fmt.Fprintln(c.stdout)
-		if code := c.fig8(); code != 0 {
-			return code
-		}
-		fmt.Fprintln(c.stdout)
-		c.knownBugs()
-		fmt.Fprintln(c.stdout)
-		c.overlyStrong()
-		fmt.Fprintln(c.stdout)
-		c.specStats()
-	default:
-		usage(stderr)
-		return 2
-	}
-	return 0
+	return v.run(c, fs)
 }
 
-// unreadFlag explains why cmd refuses its -model or -reduce, or returns
-// "". Every verb parses the one shared flag set, so a verb that does not
-// read one of these flags must refuse it rather than drop it silently.
-// A verb that runs only c11 accepts -model c11, and a verb that runs
-// unreduced accepts -reduce none.
-func (c *cli) unreadFlag(cmd string) string {
-	switch cmd {
-	case "fuzz", "shrink", "triage", "knownbugs", "overlystrong":
-		if c.model != model.C11 {
-			return fmt.Sprintf("%s runs only the %s model; it cannot honor -model %s", cmd, model.C11, c.model)
-		}
+// flagSet returns v's flags bound to c: the ones its body reads, plus
+// -cpuprofile and -memprofile, which wrap every verb.
+func (v *verb) flagSet(c *cli) *flag.FlagSet {
+	fs := flag.NewFlagSet(v.name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	for _, name := range append(strings.Fields(v.flags), "cpuprofile", "memprofile") {
+		c.define(fs, name)
 	}
-	switch cmd {
-	case "fuzz", "shrink", "triage", "knownbugs", "overlystrong", "fastrun", "submit":
-		if c.reduce.Any() {
-			return fmt.Sprintf("%s explores without reductions; it cannot honor -reduce %s", cmd, c.reduce)
-		}
+	return fs
+}
+
+// checkArgs explains why pos does not fit v's positional arguments, or
+// returns "". Optional arguments follow the required ones.
+func (v *verb) checkArgs(pos []string) string {
+	want := strings.Fields(v.args)
+	switch {
+	case len(pos) < len(want) && !strings.HasPrefix(want[len(pos)], "["):
+		return "missing " + want[len(pos)]
+	case len(pos) > len(want):
+		return fmt.Sprintf("unexpected argument %q", pos[len(want)])
 	}
 	return ""
 }
 
+// usage prints v's -h text: its synopsis, what it does, and its flags.
+func (v *verb) usage(w io.Writer, fs *flag.FlagSet) {
+	fmt.Fprintf(w, "usage: %s\n\n%s\n\nflags:\n", strings.TrimSpace("cdsspec "+v.name+" [flags] "+v.args), v.about)
+	fs.SetOutput(w)
+	fs.PrintDefaults()
+}
+
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: cdsspec [-workers N] {fig7|fig8|knownbugs|overlystrong|specstats|run <benchmark>|explore <benchmark>|resume <file>|fastrun <benchmark>|dot <benchmark>|json <benchmark>|diff <target>|fuzz [benchmark]|triage <benchmark>|shrink <benchmark>|serve|submit <benchmark>|jobs|watch <job-id>|cancel <job-id>|list [-v]|all} [-json] [-progress] [-model c11|sc|scatomics] [-reduce all|none|rf,symmetry,spinloop] [-cpuprofile file] [-memprofile file]")
-	fmt.Fprintln(w, "  explore/resume flags: -workers N -max N -checkpoint file -checkpoint-every dur -verify (explore defaults to -reduce=all; resume adopts the checkpoint's model and reduction set)")
-	fmt.Fprintln(w, "  diff flags: -a model -b model -reduce set -workers N (leg A: -a unreduced; leg B: -b under -reduce; litmus targets SB, MP, IRIW or any benchmark; exits 1 when same-model legs differ)")
-	fmt.Fprintln(w, "  fuzz/shrink flags: -seed N -count N -budget N -corpus file -weaken site -index N")
-	fmt.Fprintln(w, "  triage flags: -seed N -count N -budget N -fastruns N -shrink -corpus file -weaken site")
-	fmt.Fprintln(w, "  fastrun flags: -seed N -max N -time dur -workers N")
-	fmt.Fprintln(w, "  serve flags: -state dir -addr host:port -jobs N -checkpoint-every dur")
-	fmt.Fprintln(w, "  submit/jobs/watch/cancel flags: -state dir|-addr host:port; submit adds -kind -max -workers -deadline plus the triage flags")
+	fmt.Fprintln(w, "usage: cdsspec [-workers N] <verb> [flags] [arguments]\n\nverbs:")
+	for _, v := range verbs {
+		fmt.Fprintf(w, "  %-24s %s\n", strings.TrimSpace(v.name+" "+v.args), v.about)
+	}
+	fmt.Fprintln(w, "\n'cdsspec <verb> -h' lists the flags a verb reads; it refuses any other.")
 }
 
 // diffCmd explores target as two legs — A under the -a model with no
@@ -415,26 +409,12 @@ func usage(w io.Writer) {
 // is the expected outcome, not an error. Under one model the legs must
 // be identical: a difference is a reduction soundness bug and exits 1.
 func (c *cli) diffCmd(target string) int {
-	if c.modelSet {
-		fmt.Fprintln(c.stderr, "diff names its two models with -a and -b, not -model")
-		return 2
-	}
-	a, err := model.Parse(c.diffA)
-	if err != nil {
-		fmt.Fprintln(c.stderr, err)
-		return 2
-	}
-	b, err := model.Parse(c.diffB)
-	if err != nil {
-		fmt.Fprintln(c.stderr, err)
-		return 2
-	}
 	optsA := c.opts()
 	optsA.Parallelism = c.workers
-	optsA.Model = a
+	optsA.Model = c.diffA
 	optsA.Reduce = checker.ReduceSet{}
 	optsB := optsA
-	optsB.Model = b
+	optsB.Model = c.diffB
 	optsB.Reduce = c.reduce
 	rep, err := harness.RunDiff(target, optsA, optsB)
 	if err != nil {
@@ -499,23 +479,40 @@ func (c *cli) emitSnapshot(fig7 []harness.Fig7Row, fig8 []harness.Fig8Row) int {
 	return 0
 }
 
-func (c *cli) knownBugs() {
+func (c *cli) knownBugs() int {
 	fmt.Fprintln(c.stdout, "=== §6.4.1: known bugs ===")
 	fmt.Fprint(c.stdout, harness.FormatKnownBugs(harness.RunKnownBugs()))
+	return 0
 }
 
-func (c *cli) overlyStrong() {
+func (c *cli) overlyStrong() int {
 	fmt.Fprintln(c.stdout, "=== §6.4.3: overly strong parameter (Chase-Lev take CAS -> relaxed) ===")
 	r := harness.RunOverlyStrong()
 	fmt.Fprintf(c.stdout, "executions=%d feasible=%d violations=%d\n", r.Executions, r.Feasible, r.Violations)
 	if r.Violations == 0 {
 		fmt.Fprintln(c.stdout, "no specification violation: the seq_cst CAS on top is overly strong (authors confirmed)")
 	}
+	return 0
 }
 
-func (c *cli) specStats() {
+func (c *cli) specStats() int {
 	fmt.Fprintln(c.stdout, "=== §6.2: specification statistics ===")
 	fmt.Fprint(c.stdout, harness.FormatSpecStats(harness.RunSpecStats()))
+	return 0
+}
+
+// all runs every experiment in sequence under the default model and no
+// reduction.
+func (c *cli) all() int {
+	for i, exp := range []func() int{c.fig7, c.fig8, c.knownBugs, c.overlyStrong, c.specStats} {
+		if i > 0 {
+			fmt.Fprintln(c.stdout)
+		}
+		if code := exp(); code != 0 {
+			return code
+		}
+	}
+	return 0
 }
 
 func (c *cli) dotOne(name string) int {
@@ -703,11 +700,6 @@ func (c *cli) exploreCmd(name string) int {
 		fmt.Fprintln(c.stderr, "-checkpoint-every needs -checkpoint <file> to write to")
 		return 2
 	}
-	if !c.reduceGiven {
-		// explore defaults to the full reduction set; pass -reduce=none
-		// for the pre-reduction explorer.
-		c.reduce = checker.ReduceAll()
-	}
 	opts := c.opts()
 	opts.Parallelism = c.workers
 	cfg := opts.ExplorerConfig(b.Name)
@@ -730,22 +722,23 @@ func (c *cli) exploreCmd(name string) int {
 	return c.printExploreResult(b.Name, res)
 }
 
-// resumeCmd continues an exploration from a checkpoint file under the
-// checkpoint's model and reduction set; a -model or -reduce that names
-// another is refused by cfg.Validate. With -verify the result is
-// additionally checked bit-identical against a fresh one-worker
+// resumeCmd continues an exploration from the checkpoint file fs names
+// under the checkpoint's model and reduction set; a -model or -reduce
+// that names another is refused by cfg.Validate. With -verify the result
+// is additionally checked bit-identical against a fresh one-worker
 // exploration. Re-checkpointing goes back to the same file unless
 // -checkpoint names another.
-func (c *cli) resumeCmd(path string) int {
+func (c *cli) resumeCmd(fs *flag.FlagSet) int {
+	path := fs.Arg(0)
 	cf, err := harness.ReadCheckpointFile(path)
 	if err != nil {
 		fmt.Fprintln(c.stderr, err)
 		return 1
 	}
-	if !c.modelSet {
+	if !given(fs, "model") {
 		c.model = cf.State.Model
 	}
-	if !c.reduceGiven {
+	if !given(fs, "reduce") {
 		c.reduce = cf.State.Reduce
 	}
 	if c.verify && c.reduce.RF {

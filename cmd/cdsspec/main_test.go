@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"maps"
 	"strings"
 	"testing"
 
@@ -42,23 +44,92 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestBadInvocations: no arguments, an unknown subcommand, and a missing
-// positional argument all exit 2 with usage on stderr.
+// TestBadInvocations: no arguments and an unknown subcommand exit 2 with
+// usage on stderr; a missing or extra positional argument, and a flag
+// the verb does not read, exit 2 with one line naming it.
 func TestBadInvocations(t *testing.T) {
-	for _, args := range [][]string{
-		nil,
-		{"frobnicate"},
-		{"run"},
-		{"dot"},
-		{"json"},
+	for _, tc := range []struct {
+		args []string
+		name string // what the one-line error names; "" for usage
+	}{
+		{nil, ""},
+		{[]string{"frobnicate"}, ""},
+		{[]string{"run"}, "<benchmark>"},
+		{[]string{"dot"}, "<benchmark>"},
+		{[]string{"json"}, "<benchmark>"},
+		{[]string{"fastrun", "-checkpoint", "cp.json", "-max", "10", "SPSC Queue"}, "-checkpoint"},
+		{[]string{"run", "-weaken", "no_such_site", "-verify", "SPSC Queue"}, "-weaken"},
+		{[]string{"fastrun", "SPSC Queue", "-max", "5"}, "-max"},
+		{[]string{"specstats", "-model", "sc"}, "-model"},
+		{[]string{"list", "-reduce", "all"}, "-reduce"},
+		{[]string{"list", "extra"}, `"extra"`},
+		{[]string{"knownbugs", "-json"}, "-json"},
+		{[]string{"dot", "-workers", "4", "SPSC Queue"}, "-workers"},
+		{[]string{"all", "-model", "sc"}, "-model"},
+		{[]string{"all", "-json"}, "-json"},
+		{[]string{"-workers", "4", "list"}, "-workers"},
+		{[]string{"fuzz", "-model", "c11", "-count", "1", "SPSC Queue"}, "-model"},
 	} {
 		var out, errOut strings.Builder
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Errorf("run(%q) exited %d, want 2", args, code)
+		if code := run(tc.args, &out, &errOut); code != 2 {
+			t.Errorf("run(%q) exited %d, want 2", tc.args, code)
 		}
-		if errOut.Len() == 0 {
-			t.Errorf("run(%q) printed nothing to stderr", args)
+		msg := errOut.String()
+		switch {
+		case tc.name == "" && msg == "":
+			t.Errorf("run(%q) printed nothing to stderr", tc.args)
+		case tc.name != "" && (strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.name)):
+			t.Errorf("run(%q) printed %q, want one line naming %s", tc.args, msg, tc.name)
 		}
+	}
+}
+
+// TestVerbFlagSets: every verb refuses each flag some other verb reads
+// and it does not, with exit 2 and one line naming the flag, before any
+// work starts; and `cdsspec <verb> -h` exits 0 listing exactly the
+// verb's own flags.
+func TestVerbFlagSets(t *testing.T) {
+	own := map[string]map[string]bool{}
+	all := map[string]bool{}
+	for _, v := range verbs {
+		own[v.name] = map[string]bool{}
+		v.flagSet(&cli{}).VisitAll(func(f *flag.Flag) {
+			own[v.name][f.Name] = true
+			all[f.Name] = true
+		})
+	}
+	for _, v := range verbs {
+		for name := range all {
+			if own[v.name][name] {
+				continue
+			}
+			var out, errOut strings.Builder
+			if code := run([]string{v.name, "-" + name}, &out, &errOut); code != 2 {
+				t.Errorf("%s -%s exited %d, want 2", v.name, name, code)
+			}
+			if msg := errOut.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-"+name) {
+				t.Errorf("%s -%s printed %q, want one line naming the flag", v.name, name, msg)
+			}
+		}
+
+		var out, errOut strings.Builder
+		if code := run([]string{v.name, "-h"}, &out, &errOut); code != 0 {
+			t.Errorf("%s -h exited %d, want 0: %s", v.name, code, errOut.String())
+		}
+		listed := map[string]bool{}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if name, ok := strings.CutPrefix(line, "  -"); ok {
+				listed[strings.Fields(name)[0]] = true
+			}
+		}
+		if !maps.Equal(listed, own[v.name]) {
+			t.Errorf("%s -h lists %v, want %v", v.name, listed, own[v.name])
+		}
+	}
+
+	var out, errOut strings.Builder
+	if code := run([]string{"-h"}, &out, &errOut); code != 0 || !strings.Contains(out.String(), "verbs:") {
+		t.Errorf("cdsspec -h exited %d with %q, want 0 and the verb list", code, out.String())
 	}
 }
 

@@ -15,18 +15,8 @@ import (
 	"repro/internal/service"
 )
 
-// This file holds the verification-service subcommands:
-//
-//	cdsspec serve -state dir [-addr host:port] [-jobs N]
-//	cdsspec submit -state dir|-addr host:port [flags] <benchmark>
-//	cdsspec jobs -state dir|-addr host:port
-//	cdsspec watch -state dir|-addr host:port <job-id>
-//	cdsspec cancel -state dir|-addr host:port <job-id>
-//
-// plus the local (daemonless) triage tier:
-//
-//	cdsspec triage [-seed N] [-count N] [-budget N] [-fastruns N]
-//	               [-shrink] [-corpus file] [-weaken site] [-json] <benchmark>
+// This file holds the verification-service verbs (serve, submit, jobs,
+// watch and cancel) plus the local, daemonless triage tier (triage).
 
 // serveCmd runs the daemon until SIGINT/SIGTERM, then drains: running
 // jobs checkpoint and suspend, and a later serve against the same state

@@ -117,8 +117,9 @@ func TestServiceCLIUsageErrors(t *testing.T) {
 		{"watch", "j000001"}, // no -state/-addr
 		{"cancel"},           // no job id
 		{"triage"},           // no benchmark
-		// Flags the verb parses but does not read: refused before any
-		// daemon is contacted or any program is explored.
+		// Flags the verb does not read, and a spec the daemon would
+		// refuse: refused before any daemon is contacted or any program
+		// is explored.
 		{"submit", "-addr", "127.0.0.1:1", "-reduce", "all", "M&S Queue"},
 		{"submit", "-addr", "127.0.0.1:1", "-kind", "triage", "-model", "sc", "RCU"},
 		{"fuzz", "-model", "sc", "-count", "1", "SPSC Queue"},

@@ -172,10 +172,6 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 	if workers > total {
 		workers = total
 	}
-	if workers == 1 {
-		fastBlock(c, res, root, 0, total, nil)
-		return res
-	}
 	b := newBounds(0, 0)
 	starts := make([]int, workers+1)
 	for w := 0; w < workers; w++ {
@@ -196,14 +192,14 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 }
 
 // fastBlock runs fast-mode run indices [from, to) into res, reseeding
-// the chooser per index. b (nil when sequential) carries StopAtFirst
-// cancellation.
+// the chooser per index. b carries StopAtFirst cancellation across
+// blocks.
 func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, b *bounds) {
 	ch := &fastChooser{stats: &res.Stats}
 	pool := &execPool{}
 	defer pool.close()
 	for i := from; i < to; i++ {
-		if b != nil && b.stopped() {
+		if b.stopped() {
 			return
 		}
 		if c.Interrupt != nil {
@@ -217,9 +213,7 @@ func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, b *boun
 		scratch := c.newScratch() // each run is one shard
 		failed := runOne(c, res, ch, root, scratch, pool)
 		if failed && c.StopAtFirst {
-			if b != nil {
-				b.cancel()
-			}
+			b.cancel()
 			return
 		}
 	}
