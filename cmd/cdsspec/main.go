@@ -188,7 +188,7 @@ var verbs = []verb{
 	{"serve", "", "run the verification-service daemon",
 		"state addr jobs checkpoint-every", func(c *cli, _ *flag.FlagSet) int { return c.serveCmd() }},
 	{"submit", "<benchmark>", "submit a job to a running daemon",
-		"state addr kind max workers deadline model checkpoint-every seed count budget fastruns shrink json", func(c *cli, fs *flag.FlagSet) int { return c.submitCmd(fs.Arg(0)) }},
+		"state addr kind max workers deadline model checkpoint-every seed count budget fastruns shrink json", func(c *cli, fs *flag.FlagSet) int { return c.submitCmd(fs) }},
 	{"jobs", "", "list a daemon's jobs",
 		"state addr json", func(c *cli, _ *flag.FlagSet) int { return c.jobsCmd() }},
 	{"watch", "<job-id>", "stream one job's progress until it ends",

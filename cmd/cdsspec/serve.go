@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -104,11 +105,26 @@ func (c *cli) submitSpec(benchmark string) service.JobSpec {
 	return spec
 }
 
+// kindDrops lists, per job kind, the submit flags submitSpec leaves out
+// of that kind's spec.
+var kindDrops = map[service.JobKind][]string{
+	service.KindExplore: {"seed", "count", "budget", "fastruns", "shrink"},
+	service.KindFast:    {"checkpoint-every", "count", "budget", "fastruns", "shrink"},
+	service.KindTriage:  {"max", "checkpoint-every"},
+}
+
 // submitCmd submits one job and prints its id (or the full view with
-// -json). A spec the daemon would refuse is a usage error, caught before
-// the daemon is contacted.
-func (c *cli) submitCmd(benchmark string) int {
-	spec := c.submitSpec(benchmark)
+// -json). A flag the job's kind drops and a spec the daemon would refuse
+// are usage errors, caught before the daemon is contacted.
+func (c *cli) submitCmd(fs *flag.FlagSet) int {
+	spec := c.submitSpec(fs.Arg(0))
+	kind := spec.KindOrDefault()
+	for _, name := range kindDrops[kind] {
+		if given(fs, name) {
+			fmt.Fprintf(c.stderr, "cdsspec submit: -kind %s does not read -%s (see cdsspec submit -h)\n", kind, name)
+			return 2
+		}
+	}
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(c.stderr, err)
 		return 2

@@ -139,6 +139,24 @@ func TestServiceCLIUsageErrors(t *testing.T) {
 			t.Errorf("run(%q) printed nothing to stderr", args)
 		}
 	}
+
+	// A flag the job kind drops: one line naming the flag and the kind,
+	// before any daemon contact (port 1 would make a submit exit 1).
+	for _, c := range []struct {
+		args       []string
+		flag, kind string
+	}{
+		{[]string{"submit", "-addr", "127.0.0.1:1", "-kind", "fast", "-checkpoint-every", "1s", "-max", "50", "SPSC Queue"}, "-checkpoint-every", "fast"},
+		{[]string{"submit", "-addr", "127.0.0.1:1", "-seed", "9", "-max", "10", "SPSC Queue"}, "-seed", "explore"},
+		{[]string{"submit", "-addr", "127.0.0.1:1", "-kind", "triage", "-max", "10", "SPSC Queue"}, "-max", "triage"},
+	} {
+		var out, errOut strings.Builder
+		code := run(c.args, &out, &errOut)
+		msg := errOut.String()
+		if code != 2 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.flag) || !strings.Contains(msg, c.kind) {
+			t.Errorf("run(%q) exited %d with %q; want 2 and one line naming %s and %s", c.args, code, msg, c.flag, c.kind)
+		}
+	}
 }
 
 // TestTriageCLI: the screen→confirm→shrink tier runs clean against a

@@ -365,27 +365,56 @@ func TestPooledExecutionAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelVisibleFloor measures the visibility-floor hot path —
-// the load-history program is floor-computation bound (every load
-// consults store floors, read-read coherence, and release clocks).
+// BenchmarkKernelVisibleFloor measures the visibility-floor hot path.
+// The cached and uncached legs explore the load-history program, which
+// is floor-computation bound (every load consults store floors,
+// read-read coherence, and release clocks). The fast-window leg is a
+// fast-mode run of fastWindowProg, whose loads and RMWs compute their
+// floors over a full store window carrying SC floors.
 func BenchmarkKernelVisibleFloor(b *testing.B) {
-	prog := kernelProgs[5] // load-history
-	for _, mode := range []struct {
+	loadHistory := func(root *Thread) { kernelProgs[5].prog(root, func(string) {}) }
+	for _, leg := range []struct {
 		name string
 		cfg  Config
+		prog func(*Thread)
 	}{
-		{"cached", Config{}},
-		{"uncached", Config{disableFloorCache: true}},
+		{"cached", Config{}, loadHistory},
+		{"uncached", Config{disableFloorCache: true}, loadHistory},
+		{"fast-window", Config{FastMode: true, MaxExecutions: 4, Seed: 1, MaxSteps: 10000}, fastWindowProg},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
+		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := Explore(mode.cfg, func(root *Thread) { prog.prog(root, func(string) {}) })
-				if !res.Exhausted {
+				res := Explore(leg.cfg, leg.prog)
+				if leg.cfg.FastMode && (res.Feasible != res.Executions || res.FailureCount != 0) {
+					b.Fatalf("%d of %d runs feasible, %d failures", res.Feasible, res.Executions, res.FailureCount)
+				}
+				if !leg.cfg.FastMode && !res.Exhausted {
 					b.Fatal("not exhausted")
 				}
 			}
 		})
+	}
+}
+
+// fastWindowProg keeps one location's fast-mode store window full: three
+// threads each repeat a seq_cst fetch-add, a release store and an
+// acquire load of x. x receives far more than 64 stores, each store
+// makes the next floor a cache miss, and the RMWs append SC floors.
+func fastWindowProg(root *Thread) {
+	x := root.NewAtomicInit("x", 0)
+	var ts []*Thread
+	for _, name := range []string{"a", "b", "c"} {
+		ts = append(ts, root.Spawn(name, func(tt *Thread) {
+			for i := 0; i < 300; i++ {
+				x.FetchAdd(tt, memmodel.SeqCst, 1)
+				x.Store(tt, memmodel.Release, memmodel.Value(i))
+				_ = x.Load(tt, memmodel.Acquire)
+			}
+		}))
+	}
+	for _, t := range ts {
+		root.Join(t)
 	}
 }
 

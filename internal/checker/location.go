@@ -30,10 +30,12 @@ type readRef struct {
 
 // scFloor records a seq_cst visibility constraint: any load whose
 // effective SC position is after scIdx must read the store at
-// modification-order index moIdx or a later one.
+// modification-order index moIdx or a later one. maxMO is the largest
+// moIdx of this entry and every earlier one in location.scFloors.
 type scFloor struct {
 	scIdx int
 	moIdx int
+	maxMO int
 }
 
 // floorEntry caches one thread's visibleFloor result for a location.
@@ -91,7 +93,13 @@ type location struct {
 	nextCompact int
 	// lastStoreBy[tid] is the latest mo index thread tid stored (-1 none).
 	lastStoreBy []int
-	// scFloors are seq_cst visibility constraints (monotone in scIdx).
+	// scFloors are seq_cst visibility constraints in the order they were
+	// added. Every append carries the SC index just assigned, so scIdx
+	// never decreases along the slice and the entries that bind a reader
+	// at SC position p (scIdx < p) form a prefix. moIdx is not monotone:
+	// an SC fence adds its thread's last store, which may be older than
+	// the entries before it. Hence the running maximum maxMO, which makes
+	// the prefix's floor its last entry's maxMO (scFloorBefore).
 	scFloors []scFloor
 
 	// floorCache[tid] memoizes visibleFloor per thread.
@@ -161,6 +169,43 @@ func (l *location) setLastStoreByThread(tid, mo int) {
 		l.lastStoreBy = append(l.lastStoreBy, -1)
 	}
 	l.lastStoreBy[tid] = mo
+}
+
+// newestCovered returns the absolute mo index of the newest retained
+// store that clock c covers, or -1 when it covers none. Coverage is not
+// monotone along the modification order, but the newest covered store is
+// the largest covered index, so the scan stops at the first hit from the
+// newest end.
+func (l *location) newestCovered(c *memmodel.ClockVector) int {
+	for i := len(l.stores) - 1; i >= 0; i-- {
+		if a := l.stores[i].act; c.Contains(a.Thread, a.TSeq) {
+			return l.moBase + i
+		}
+	}
+	return -1
+}
+
+// addSCFloor appends a seq_cst floor; scIdx must be at least that of
+// every existing entry.
+func (l *location) addSCFloor(scIdx, moIdx int) {
+	maxMO := moIdx
+	if n := len(l.scFloors); n > 0 && l.scFloors[n-1].maxMO > maxMO {
+		maxMO = l.scFloors[n-1].maxMO
+	}
+	l.scFloors = append(l.scFloors, scFloor{scIdx: scIdx, moIdx: moIdx, maxMO: maxMO})
+}
+
+// scFloorBefore returns the largest moIdx over the seq_cst floors whose
+// scIdx is below scIdx, or -1 when there are none: the running maximum
+// of the newest such entry. For a seq_cst load, whose scIdx is the SC
+// count, that is the last entry.
+func (l *location) scFloorBefore(scIdx int) int {
+	for i := len(l.scFloors) - 1; i >= 0; i-- {
+		if l.scFloors[i].scIdx < scIdx {
+			return l.scFloors[i].maxMO
+		}
+	}
+	return -1
 }
 
 // cacheFor returns the floor-cache slot for thread tid, growing the

@@ -584,13 +584,8 @@ func (s *System) noteOwnLoad(t *Thread, loc *location, idx int) {
 func (s *System) visibleFloorScan(t *Thread, loc *location, scIdx int) (floor int, published bool) {
 	floor = loc.moBase
 	published = loc.moBase > 0
-	for i, st := range loc.stores {
-		if t.clock.Contains(st.act.Thread, st.act.TSeq) {
-			published = true
-			if mo := loc.moBase + i; mo > floor {
-				floor = mo
-			}
-		}
+	if mo := loc.newestCovered(t.clock); mo >= 0 {
+		floor, published = mo, true
 	}
 	if loc.maxLoadRF > floor {
 		for _, lr := range loc.loads {
@@ -600,10 +595,8 @@ func (s *System) visibleFloorScan(t *Thread, loc *location, scIdx int) (floor in
 		}
 	}
 	if scIdx >= 0 {
-		for _, f := range loc.scFloors {
-			if f.scIdx < scIdx && f.moIdx > floor {
-				floor = f.moIdx
-			}
+		if mo := loc.scFloorBefore(scIdx); mo > floor {
+			floor = mo
 		}
 	}
 	return floor, published
@@ -671,12 +664,7 @@ func (s *System) maybeCompactLoads(loc *location) {
 		if t.state == tsFinished {
 			continue
 		}
-		f := -1
-		for i, st := range loc.stores {
-			if t.clock.Contains(st.act.Thread, st.act.TSeq) {
-				f = loc.moBase + i
-			}
-		}
+		f := loc.newestCovered(t.clock)
 		if !live || f < glb {
 			glb = f
 		}
@@ -733,14 +721,15 @@ func (s *System) maybeEvict(loc *location) {
 
 	// Constraints and coherence records below the new base are vacuous
 	// (floors start at moBase); dropping them is what keeps the auxiliary
-	// slices bounded too.
-	keptSC := loc.scFloors[:0]
-	for _, f := range loc.scFloors {
+	// slices bounded too. The kept SC floors are re-added in order, which
+	// recomputes their running maxima over the entries that remain.
+	oldSC := loc.scFloors
+	loc.scFloors = oldSC[:0]
+	for _, f := range oldSC {
 		if f.moIdx >= loc.moBase {
-			keptSC = append(keptSC, f)
+			loc.addSCFloor(f.scIdx, f.moIdx)
 		}
 	}
-	loc.scFloors = keptSC
 	keptL := loc.loads[:0]
 	maxRF := -1
 	for _, lr := range loc.loads {
@@ -971,7 +960,7 @@ func (s *System) doStore(t *Thread, loc *location, ord memmodel.MemOrder, v memm
 	setSeq(&loc.writeSeq, t.id, t.tseq)
 	s.rules().assignSC(s, act, ord)
 	if act.SCIndex >= 0 {
-		loc.scFloors = append(loc.scFloors, scFloor{scIdx: act.SCIndex, moIdx: moIdx})
+		loc.addSCFloor(act.SCIndex, moIdx)
 	}
 	s.storeEpoch++
 	s.maybeEvict(loc)
@@ -1027,7 +1016,7 @@ func (s *System) doRMW(t *Thread, loc *location, ord memmodel.MemOrder, f func(m
 	setSeq(&loc.writeSeq, t.id, t.tseq)
 	s.rules().assignSC(s, act, ord)
 	if act.SCIndex >= 0 {
-		loc.scFloors = append(loc.scFloors, scFloor{scIdx: act.SCIndex, moIdx: moIdx})
+		loc.addSCFloor(act.SCIndex, moIdx)
 	}
 	s.storeEpoch++
 	s.maybeEvict(loc)
@@ -1116,7 +1105,7 @@ func (s *System) doCAS(t *Thread, loc *location, expected, desired memmodel.Valu
 		setSeq(&loc.writeSeq, t.id, t.tseq)
 		s.rules().assignSC(s, act, succOrd)
 		if act.SCIndex >= 0 {
-			loc.scFloors = append(loc.scFloors, scFloor{scIdx: act.SCIndex, moIdx: moIdx})
+			loc.addSCFloor(act.SCIndex, moIdx)
 		}
 		s.storeEpoch++
 		s.maybeEvict(loc)
@@ -1219,7 +1208,7 @@ func (s *System) doFence(t *Thread, ord memmodel.MemOrder) {
 				continue
 			}
 			if mo := loc.lastStoreByThread(t.id); mo >= 0 {
-				loc.scFloors = append(loc.scFloors, scFloor{scIdx: act.SCIndex, moIdx: mo})
+				loc.addSCFloor(act.SCIndex, mo)
 			}
 		}
 	}
@@ -1278,12 +1267,7 @@ func (s *System) fastPlainLoad(t *Thread, loc *location) memmodel.Value {
 				loc.name, t.id, tid)
 		}
 	}
-	best := -1
-	for i, st := range loc.stores {
-		if st.act.Thread == t.id || t.clock.Contains(st.act.Thread, st.act.TSeq) {
-			best = loc.moBase + i
-		}
-	}
+	best := loc.newestCovered(t.clock)
 	var v memmodel.Value
 	switch {
 	case best >= 0:
