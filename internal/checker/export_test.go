@@ -27,6 +27,117 @@ func KernelOptsOff(cfg Config) Config {
 // NormalizeResult exposes normalizeResult to package checker_test.
 var NormalizeResult = normalizeResult
 
+// rebuildFingerprint is stateFingerprint computed from scratch, the
+// reference for its caches: every thread, location and mutex entry is
+// rehashed from its fields, and no cached head, entry, running sum or
+// dirty list is read or updated. The spec monitor's record enters
+// through AuxFingerprinter as in stateFingerprint; internal/core checks
+// the monitor's per-call cache against its own rebuild.
+func (s *System) rebuildFingerprint(kind byte, active *Thread, loc *location) fpKey {
+	var acc fpKey
+	for _, t := range s.threads {
+		if t.canon == 0 && s.symTwin(t) {
+			acc.add(fpEntry(fpTagUnstarted, uint64(t.classIdx), uint64(t.state), boolW(s.threadEnabledNow(t))))
+			continue
+		}
+		words := []uint64{fpTagThread, s.canonOf(t.id), t.fp.a, t.fp.b, uint64(t.tseq), s.threadBits(t)}
+		if t.state == tsLock || t.state == tsJoin {
+			ra, rb := s.threadResource(t)
+			words = append(words, ra, rb)
+		}
+		acc.add(fpEntry(words...))
+	}
+	for _, l := range s.locs {
+		acc.add(fpEntry(fpTagLoc, l.canonA, uint64(l.canonSeq), l.fpOrder.a, l.fpOrder.b))
+	}
+	for _, m := range s.mutexes {
+		acc.add(fpEntry(fpTagMutex, m.canonA, uint64(m.canonSeq), m.fpOrder.a, m.fpOrder.b))
+	}
+	acc.add(fpEntry(fpTagSC, s.fpSC.a, s.fpSC.b))
+	if af, ok := s.Aux.(AuxFingerprinter); ok {
+		a, b := af.ReduceFingerprint()
+		acc.add(fpEntry(fpTagAux, a, b))
+	}
+	acc.add(s.siteEntry(kind, active, loc))
+	return acc
+}
+
+// walkChooser drives seeded random executions and, at every scheduling
+// and value decision, compares stateFingerprint with rebuildFingerprint.
+// It keeps no sleep set and never reports a fresh decision, so no
+// reduction prunes or counts along a walk.
+type walkChooser struct {
+	rng     uint64
+	sys     *System
+	checked int
+	bad     string // the first mismatch
+	rec     floorRec
+}
+
+func (w *walkChooser) intn(n int) int {
+	w.rng += fpLaneA
+	return int(mix64(w.rng) % uint64(n))
+}
+
+// check compares the two fingerprints at the current state, recording
+// the first mismatch.
+func (w *walkChooser) check(at string, kind byte) {
+	w.checked++
+	got, want := w.sys.stateFingerprint(kind, nil, nil), w.sys.rebuildFingerprint(kind, nil, nil)
+	if got != want && w.bad == "" {
+		w.bad = fmt.Sprintf("check %d (%s, step %d): cached %x, rebuilt %x", w.checked, at, w.sys.stepCount, got, want)
+	}
+}
+
+func (w *walkChooser) choose(n int, kind byte) int {
+	w.check("value decision", kind)
+	return w.intn(n)
+}
+
+func (w *walkChooser) pickThread(s *System, enabled []*Thread) *Thread {
+	w.sys = s
+	w.check("scheduling decision", 's')
+	return enabled[w.intn(len(enabled))]
+}
+
+func (w *walkChooser) pinnedFloor() (*floorRec, bool) { return nil, false }
+
+func (w *walkChooser) noteFloor(rec floorRec) *floorRec {
+	w.rec = rec
+	return &w.rec
+}
+
+func (w *walkChooser) freshDecision() bool { return false }
+
+// WalkFingerprints runs walks seeded random executions of prog under cfg
+// with every reduction on (so the fingerprint streams are kept), all
+// through one execution pool, and checks the incremental state
+// fingerprint against the from-scratch rebuild at every decision and at
+// the end of every completed execution. It returns the number of checks
+// made and an error naming the first mismatch.
+func WalkFingerprints(cfg Config, prog func(*Thread), seed int64, walks int) (int, error) {
+	cfg.Reduce = ReduceAll()
+	c := cfg.withDefaults()
+	pool := &execPool{}
+	w := &walkChooser{}
+	defer func() {
+		if pool.sys != nil {
+			pool.close()
+		}
+	}()
+	for i := range walks {
+		w.rng = derivedSeed(seed, i)
+		sys := runExecution(c, w, prog, nil, pool)
+		if !sys.pruned && sys.failure == nil {
+			w.check("end of execution", 'e')
+		}
+		if w.bad != "" {
+			return w.checked, fmt.Errorf("walk %d: %s", i, w.bad)
+		}
+	}
+	return w.checked, nil
+}
+
 // TestExportDOT: the DOT export contains every thread cluster, the
 // accessed locations, and a reads-from edge.
 func TestExportDOT(t *testing.T) {

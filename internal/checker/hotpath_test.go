@@ -137,6 +137,24 @@ func checkSpecLeg(t *testing.T, spec func() *core.Spec, cfg checker.Config, prog
 	}
 }
 
+// TestFingerprintCacheMatchesRebuildSpec: along seeded random walks of
+// each paper benchmark's primary unit test, with the spec monitor
+// installed as core.Explore installs it, the incremental state
+// fingerprint equals the from-scratch rebuild at every decision.
+func TestFingerprintCacheMatchesRebuildSpec(t *testing.T) {
+	for _, b := range harness.Benchmarks() {
+		spec := b.Spec()
+		cfg := checker.Config{OnRunStart: func(sys *checker.System) { core.Install(sys, spec) }}
+		n, err := checker.WalkFingerprints(cfg, b.Progs(b.Orders())[0], 1, 200)
+		if err != nil {
+			t.Errorf("%s: %v", b.Name, err)
+		}
+		if n < 200 {
+			t.Errorf("%s: %d checks over 200 walks", b.Name, n)
+		}
+	}
+}
+
 // BenchmarkExploreHotPath measures each paper benchmark's primary unit
 // test explored exhaustively through the bare checker, with the kernel
 // hot-path optimizations on ("opt", the defaults) and off ("base").
@@ -162,5 +180,36 @@ func BenchmarkExploreHotPath(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkExploreReduced measures the reduction layer as `cdsspec
+// explore` runs it: each paper benchmark's primary unit test and the
+// 3+3 M&S workload through core.Explore with every reduction on, at one
+// worker. Each iteration is one full exploration; compare ns/op and
+// allocs/op across commits.
+func BenchmarkExploreReduced(b *testing.B) {
+	type row struct {
+		name string
+		spec func() *core.Spec
+		prog func(*checker.Thread)
+	}
+	var rows []row
+	for _, bm := range harness.Benchmarks() {
+		rows = append(rows, row{bm.Name, bm.Spec, bm.Progs(bm.Orders())[0]})
+	}
+	ms := harness.BenchmarkByName("M&S Queue")
+	rows = append(rows, row{"M&S Queue 3+3", ms.Spec, harness.MSQueue3x3(ms.Orders())})
+	cfg := checker.Config{Parallelism: 1, Reduce: checker.ReduceAll()}
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := core.Explore(r.spec(), cfg, r.prog)
+				if res.Feasible == 0 || res.Stats.RFClasses == 0 {
+					b.Fatalf("%s: no feasible executions or rf classes", r.name)
+				}
+			}
+		})
 	}
 }

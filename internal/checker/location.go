@@ -105,12 +105,9 @@ type location struct {
 	// floorCache[tid] memoizes visibleFloor per thread.
 	floorCache []floorEntry
 
-	// Canonical identity and modification-order stream for the reduction
-	// fingerprint (reduce.go); id is allocation-order-dependent, this
-	// pair is not.
-	canonA   uint64
-	canonSeq uint32
-	fpMo     fpPair
+	// Canonical identity, modification-order stream and cached entry for
+	// the reduction fingerprint (reduce.go).
+	fpObj
 
 	// Per-thread latest-access vectors for exact O(threads) race checks
 	// (C11Tester-style): readSeq[tid]/writeSeq[tid] is the tseq of thread

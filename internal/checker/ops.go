@@ -93,12 +93,9 @@ type Mutex struct {
 	owner int
 	clock *memmodel.ClockVector
 
-	// Canonical identity and acquisition-order stream for the reduction
-	// fingerprint (reduce.go); id is allocation-order-dependent, this
-	// pair is not.
-	canonA   uint64
-	canonSeq uint32
-	fp       fpPair
+	// Canonical identity, acquisition-order stream and cached entry for
+	// the reduction fingerprint (reduce.go).
+	fpObj
 }
 
 // Name returns the mutex's debug name.

@@ -89,6 +89,8 @@ func (p *execPool) take(cfg *Config, ch chooser, scratch any) *System {
 	s.mutexes = s.mutexes[:0]
 	s.symClasses = s.symClasses[:0]
 	s.fpSC = fpPair{}
+	s.fpObjs = fpKey{}
+	s.fpDirty = s.fpDirty[:0]
 	s.redSpinBounds = 0
 	s.redSymPrunes = 0
 	s.actionCount = 0

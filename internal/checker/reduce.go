@@ -2,7 +2,7 @@ package checker
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +163,12 @@ func (k *fpKey) add(e fpKey) {
 	k.b += e.b
 }
 
+// sub removes a multiset element add folded in.
+func (k *fpKey) sub(e fpKey) {
+	k.a -= e.a
+	k.b -= e.b
+}
+
 // fpEntry hashes a tagged tuple into one multiset element.
 func fpEntry(words ...uint64) fpKey {
 	var p fpPair
@@ -183,6 +189,36 @@ const (
 	fpTagAux
 	fpTagSite
 )
+
+// fpObj is the reduction state a location or mutex carries: its
+// canonical identity, its order stream (a location's modification order,
+// a mutex's acquisition order), and ent, the multiset entry the System's
+// running sum fpObjs holds for it. dirty means the stream moved since
+// ent was computed: the object is on System.fpDirty, and the next
+// stateFingerprint replaces ent in the sum. id is allocation-order-
+// dependent; the canonical pair is not.
+type fpObj struct {
+	tag      uint64
+	canonA   uint64
+	canonSeq uint32
+	fpOrder  fpPair
+	ent      fpKey
+	dirty    bool
+}
+
+// entry hashes o's multiset element from its identity and stream.
+func (o *fpObj) entry() fpKey {
+	return fpEntry(o.tag, o.canonA, uint64(o.canonSeq), o.fpOrder.a, o.fpOrder.b)
+}
+
+// fpTouch queues o's entry for rehashing at the next stateFingerprint.
+// The mark is all a store or mutex operation pays, replays included.
+func (s *System) fpTouch(o *fpObj) {
+	if !o.dirty {
+		o.dirty = true
+		s.fpDirty = append(s.fpDirty, o)
+	}
+}
 
 // Thread-stream opcodes.
 const (
@@ -411,10 +447,11 @@ func (s *System) fpMoOp(loc *location, op uint64, writer *Thread, val uint64) {
 	if s.cfg.rfSeen == nil {
 		return
 	}
-	loc.fpMo.push(op)
-	loc.fpMo.push(writer.canon)
-	loc.fpMo.push(uint64(writer.tseq))
-	loc.fpMo.push(val)
+	loc.fpOrder.push(op)
+	loc.fpOrder.push(writer.canon)
+	loc.fpOrder.push(uint64(writer.tseq))
+	loc.fpOrder.push(val)
+	s.fpTouch(&loc.fpObj)
 }
 
 // fpSCOp appends one action to the global seq_cst order stream. Hooked
@@ -435,10 +472,11 @@ func (s *System) fpMutexOp(m *Mutex, op uint64, t *Thread, outcome uint64) {
 	if s.cfg.rfSeen == nil {
 		return
 	}
-	m.fp.push(op)
-	m.fp.push(t.canon)
-	m.fp.push(uint64(t.tseq))
-	m.fp.push(outcome)
+	m.fpOrder.push(op)
+	m.fpOrder.push(t.canon)
+	m.fpOrder.push(uint64(t.tseq))
+	m.fpOrder.push(outcome)
+	s.fpTouch(&m.fpObj)
 	t.fp.push(op)
 	t.fp.push(m.canonA)
 	t.fp.push(uint64(m.canonSeq))
@@ -484,6 +522,40 @@ func boolW(b bool) uint64 {
 	return 0
 }
 
+// threadBits packs the part of t's entry that can change without t
+// bumping tseq: its state, whether it is enabled, whether it was woken
+// as a last resort at the current store epoch, and skipNextPark.
+func (s *System) threadBits(t *Thread) uint64 {
+	return uint64(t.state) | boolW(s.threadEnabledNow(t))<<8 |
+		boolW(t.lastResortEpoch == s.storeEpoch)<<9 | boolW(t.skipNextPark)<<10
+}
+
+// threadEntry returns t's multiset entry. Its head — canonical id,
+// operation stream and tseq — changes only when t acts, and every action
+// bumps tseq, so the head is cached under tseq (Thread.fpHead). The
+// per-decision bits and, for a blocked thread, its wait resource are
+// chained onto the head at every call.
+func (s *System) threadEntry(t *Thread) fpKey {
+	if t.canon == 0 && s.symTwin(t) {
+		// Never-started symmetry-class member: interchangeable with its
+		// unstarted twins, so the entry carries the class, not the
+		// identity (the commutative fold handles multiplicity).
+		return fpEntry(fpTagUnstarted, uint64(t.classIdx), uint64(t.state), boolW(s.threadEnabledNow(t)))
+	}
+	if t.fpHeadSeq != t.tseq+1 {
+		h := fpEntry(fpTagThread, s.canonOf(t.id), t.fp.a, t.fp.b, uint64(t.tseq))
+		t.fpHead, t.fpHeadSeq = fpPair(h), t.tseq+1
+	}
+	p := t.fpHead
+	p.push(s.threadBits(t))
+	if t.state == tsLock || t.state == tsJoin {
+		ra, rb := s.threadResource(t)
+		p.push(ra)
+		p.push(rb)
+	}
+	return fpKey{p.a, p.b}
+}
+
 // stateFingerprint combines the current state into one key: per-thread
 // streams and schedule-invariant thread state, per-location mo streams,
 // per-mutex streams, the SC stream, the spec monitor's record, the step
@@ -491,33 +563,36 @@ func boolW(b bool) uint64 {
 // location). Everything is folded commutatively, so registry iteration
 // order is irrelevant; each component is an order-sensitive stream
 // internally.
+//
+// The location and mutex entries live in the running sum fpObjs; only
+// the ones touched since the previous fingerprint are rehashed here, so
+// a fingerprint costs O(threads + spec calls) plus the objects that
+// changed. The from-scratch computation is the tests' reference
+// (rebuildFingerprint in export_test.go).
 func (s *System) stateFingerprint(kind byte, active *Thread, loc *location) fpKey {
-	var acc fpKey
+	for _, o := range s.fpDirty {
+		e := o.entry()
+		s.fpObjs.sub(o.ent)
+		s.fpObjs.add(e)
+		o.ent, o.dirty = e, false
+	}
+	s.fpDirty = s.fpDirty[:0]
+	acc := s.fpObjs
 	for _, t := range s.threads {
-		enabled := boolW(s.threadEnabledNow(t))
-		if t.canon == 0 && s.symTwin(t) {
-			// Never-started symmetry-class member: interchangeable with
-			// its unstarted twins, so the entry carries the class, not
-			// the identity (the commutative fold handles multiplicity).
-			acc.add(fpEntry(fpTagUnstarted, uint64(t.classIdx), uint64(t.state), enabled))
-			continue
-		}
-		ra, rb := s.threadResource(t)
-		acc.add(fpEntry(fpTagThread, s.canonOf(t.id), t.fp.a, t.fp.b,
-			uint64(t.state), uint64(t.tseq), enabled,
-			boolW(t.lastResortEpoch == s.storeEpoch), boolW(t.skipNextPark), ra, rb))
-	}
-	for _, l := range s.locs {
-		acc.add(fpEntry(fpTagLoc, l.canonA, uint64(l.canonSeq), l.fpMo.a, l.fpMo.b))
-	}
-	for _, m := range s.mutexes {
-		acc.add(fpEntry(fpTagMutex, m.canonA, uint64(m.canonSeq), m.fp.a, m.fp.b))
+		acc.add(s.threadEntry(t))
 	}
 	acc.add(fpEntry(fpTagSC, s.fpSC.a, s.fpSC.b))
 	if af, ok := s.Aux.(AuxFingerprinter); ok {
 		a, b := af.ReduceFingerprint()
 		acc.add(fpEntry(fpTagAux, a, b))
 	}
+	acc.add(s.siteEntry(kind, active, loc))
+	return acc
+}
+
+// siteEntry hashes the decision site: its kind, the global step count,
+// the active thread and the location.
+func (s *System) siteEntry(kind byte, active *Thread, loc *location) fpKey {
 	var siteT, siteA, siteB uint64
 	if active != nil {
 		siteT = s.canonOf(active.id)
@@ -525,8 +600,7 @@ func (s *System) stateFingerprint(kind byte, active *Thread, loc *location) fpKe
 	if loc != nil {
 		siteA, siteB = loc.canonA, uint64(loc.canonSeq)
 	}
-	acc.add(fpEntry(fpTagSite, uint64(kind), uint64(s.stepCount), siteT, siteA, siteB))
-	return acc
+	return fpEntry(fpTagSite, uint64(kind), uint64(s.stepCount), siteT, siteA, siteB)
 }
 
 // sleepSignature renders the current sleep set as a sorted slice of
@@ -540,7 +614,7 @@ func (s *System) sleepSignature() []uint64 {
 		e := fpEntry(s.canonOf(z.tid), uint64(z.sig.class), ra, rb, boolW(z.sig.write), boolW(z.sig.sc))
 		buf = append(buf, e.a^e.b)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	s.fpSleepBuf = buf
 	return buf
 }

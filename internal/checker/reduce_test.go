@@ -1,6 +1,11 @@
 package checker
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/memmodel"
+)
 
 // TestParseReduce: flag-value parsing round-trips through the canonical
 // String form, and garbage is rejected with the valid values named.
@@ -70,6 +75,44 @@ func TestReduceConfigValidate(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: Validate() accepted", tc.name)
+		}
+	}
+}
+
+// TestFingerprintCacheMatchesRebuild: along seeded random walks, the
+// incremental state fingerprint equals the from-scratch rebuild at every
+// decision. The programs are the kernel suite (mutexes, fences,
+// spawn/join, races) and one with identical-closure siblings, whose
+// never-started twins take the unstarted entry while the others run.
+func TestFingerprintCacheMatchesRebuild(t *testing.T) {
+	twins := kernelProg{"identical-closure-twins", func(root *Thread, report func(string)) {
+		m := root.NewMutex("m")
+		x := root.NewAtomicInit("x", 0)
+		body := func(tt *Thread) {
+			m.Lock(tt)
+			x.FetchAdd(tt, memmodel.AcqRel, 1)
+			m.Unlock(tt)
+		}
+		a := root.Spawn("a", body)
+		b := root.Spawn("b", body)
+		w := root.Spawn("w", func(tt *Thread) {
+			for x.Load(tt, memmodel.Acquire) < 2 {
+				tt.Yield()
+			}
+		})
+		c := root.Spawn("c", body)
+		root.Join(a)
+		root.Join(b)
+		root.Join(c)
+		root.Join(w)
+	}}
+	for _, p := range append(slices.Clone(kernelProgs), twins) {
+		n, err := WalkFingerprints(Config{}, func(root *Thread) { p.prog(root, func(string) {}) }, 1, 300)
+		if err != nil {
+			t.Errorf("%s: %v", p.name, err)
+		}
+		if n < 300 {
+			t.Errorf("%s: %d checks over 300 walks", p.name, n)
 		}
 	}
 }

@@ -83,12 +83,16 @@ type System struct {
 	// Reduction state (reduce.go): the registry of mutexes created this
 	// execution (canonical identity for fingerprints and sleep
 	// signatures), the thread-symmetry classes, the incremental seq_cst
-	// order stream, the sleep-signature scratch buffer, and the per-run
+	// order stream, the running sum of the location and mutex entries
+	// with the list of those touched since it was last brought up to
+	// date, the sleep-signature scratch buffer, and the per-run
 	// reduction counters runOne folds into Stats (counted at fresh
 	// decisions only, so any worker count agrees).
 	mutexes       []*Mutex
 	symClasses    []symClass
 	fpSC          fpPair
+	fpObjs        fpKey
+	fpDirty       []*fpObj
 	fpSleepBuf    []uint64
 	redSpinBounds int
 	redSymPrunes  int
@@ -304,8 +308,10 @@ func (s *System) newLocation(name string, atomic bool) *location {
 	l.atomic = atomic
 	l.creatorTid = tid
 	l.creatorTSeq = tseq
-	l.canonA, l.canonSeq = canonA, canonSeq
-	l.fpMo = fpPair{}
+	l.fpObj = fpObj{tag: fpTagLoc, canonA: canonA, canonSeq: canonSeq}
+	if s.cfg.rfSeen != nil {
+		s.fpTouch(&l.fpObj)
+	}
 	s.locs = append(s.locs, l)
 	return l
 }

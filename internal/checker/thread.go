@@ -91,13 +91,17 @@ type Thread struct {
 	// Yield-delimited iteration has performed any side effect, spinMuts
 	// the spec-monitor mutation count at its start, spinIterPure the
 	// frozen verdict for the iteration that just yielded, and
-	// spinLoc/spinRF the armed single-location re-read bound.
+	// spinLoc/spinRF the armed single-location re-read bound. fpHead is
+	// the cached head of the thread's fingerprint entry (threadEntry),
+	// valid while fpHeadSeq == tseq+1 (0 = never computed).
 	canon        uint64
 	spawnKey     uint64
 	spawnSeq     uint32
 	allocSeq     uint32
 	classIdx     int
 	fp           fpPair
+	fpHead       fpPair
+	fpHeadSeq    uint32
 	spinPure     bool
 	spinIterPure bool
 	spinMuts     uint64
@@ -163,6 +167,7 @@ func (t *Thread) reset(s *System, name string, fn func(*Thread), src *memmodel.C
 	t.allocSeq = 0
 	t.classIdx = -1
 	t.fp = fpPair{}
+	t.fpHeadSeq = 0
 	t.spinPure = false
 	t.spinIterPure = false
 	t.spinMuts = 0
@@ -352,7 +357,8 @@ func (t *Thread) NewMutex(name string) *Mutex {
 		// Canonical identity, like newLocation's: (creator canonical id,
 		// per-creator allocation index).
 		t.allocSeq++
-		m.canonA, m.canonSeq = t.sys.canonOf(t.id), t.allocSeq
+		m.fpObj = fpObj{tag: fpTagMutex, canonA: t.sys.canonOf(t.id), canonSeq: t.allocSeq}
+		t.sys.fpTouch(&m.fpObj)
 	}
 	t.sys.mutexes = append(t.sys.mutexes, m)
 	return m

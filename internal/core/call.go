@@ -62,6 +62,11 @@ type Call struct {
 	ended bool
 	// ctx is the instrumentation handle Begin returns for this call.
 	ctx CallCtx
+	// fp caches the call's entry in the monitor's reduction fingerprint
+	// (reduce.go), valid while fpOK holds. Every mutator of the fields
+	// the entry hashes clears fpOK (invalidate).
+	fp   reducePair
+	fpOK bool
 }
 
 type potentialOP struct {
@@ -84,6 +89,7 @@ func (c *Call) Arg(i int) memmodel.Value {
 
 // SetAux stores a named scratch value on the call.
 func (c *Call) SetAux(key string, v memmodel.Value) {
+	c.invalidate()
 	i := 0
 	for i < len(c.aux) && c.aux[i].key < key {
 		i++

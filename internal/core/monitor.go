@@ -133,6 +133,7 @@ func (x *CallCtx) End(t *checker.Thread, ret memmodel.Value) {
 	x.m.mut(x.tid)
 	x.m.depth[x.tid]--
 	if x.call != nil {
+		x.call.invalidate()
 		x.call.Ret = ret
 		x.call.HasRet = true
 		x.call.ended = true
@@ -147,6 +148,7 @@ func (x *CallCtx) EndVoid(t *checker.Thread) {
 	x.m.mut(x.tid)
 	x.m.depth[x.tid]--
 	if x.call != nil {
+		x.call.invalidate()
 		x.call.ended = true
 	}
 }
@@ -170,6 +172,7 @@ func (x *CallCtx) OPDefine(t *checker.Thread, cond bool) {
 	}
 	if a := t.LastAction(); a != nil {
 		x.m.mut(x.tid)
+		x.call.invalidate()
 		x.call.OPs = append(x.call.OPs, a)
 	}
 }
@@ -181,6 +184,7 @@ func (x *CallCtx) OPClear(t *checker.Thread, cond bool) {
 		return
 	}
 	x.m.mut(x.tid)
+	x.call.invalidate()
 	x.call.OPs = x.call.OPs[:0]
 	x.call.potentials = x.call.potentials[:0]
 }
@@ -205,6 +209,7 @@ func (x *CallCtx) PotentialOP(t *checker.Thread, label string, cond bool) {
 	}
 	if a := t.LastAction(); a != nil {
 		x.m.mut(x.tid)
+		x.call.invalidate()
 		x.call.potentials = append(x.call.potentials, potentialOP{label: label, act: a})
 	}
 }
@@ -216,6 +221,7 @@ func (x *CallCtx) OPCheck(t *checker.Thread, label string, cond bool) {
 		return
 	}
 	x.m.mut(x.tid)
+	x.call.invalidate()
 	kept := x.call.potentials[:0]
 	for _, p := range x.call.potentials {
 		if p.label == label {

@@ -11,8 +11,9 @@ import (
 // aux keys set out of order with one key overwritten, a nested call,
 // ordering points and a pending potential, and calls on two threads.
 // open is the monitor's reduction fingerprint while thread 1's call is
-// still open (nonzero nesting depth, call not ended).
-func pinRecord(t *testing.T) (m *Monitor, open [2]uint64) {
+// still open (nonzero nesting depth, call not ended), and openRebuilt
+// the same fingerprint computed without the per-call cache.
+func pinRecord(t *testing.T) (m *Monitor, open, openRebuilt [2]uint64) {
 	t.Helper()
 	cfg := checker.Config{
 		MaxExecutions: 1,
@@ -42,6 +43,7 @@ func pinRecord(t *testing.T) (m *Monitor, open [2]uint64) {
 			d.PotentialOP(tt, "p", true)
 			d.SetAux("z", 4)
 			open[0], open[1] = mon.ReduceFingerprint()
+			openRebuilt[0], openRebuilt[1] = reduceFingerprintRebuild(mon)
 			d.End(tt, v)
 		})
 		root.Join(w)
@@ -49,15 +51,17 @@ func pinRecord(t *testing.T) (m *Monitor, open [2]uint64) {
 	if res.Feasible != 1 || m == nil {
 		t.Fatalf("pin program did not record: %v", res)
 	}
-	return m, open
+	return m, open, openRebuilt
 }
 
 // TestFingerprintPins: the spec-check fingerprint and the reduction
 // fingerprint of a fixed call record are pinned values. Fuzz triage
 // buckets and spec-cache keys hash these bytes, so a change to how calls
-// are stored must not move them.
+// are stored must not move them. The reduction fingerprint is never
+// persisted (checkpoints do not carry the seen-set), so its pins move
+// only with its hash construction; both must equal the rebuild.
 func TestFingerprintPins(t *testing.T) {
-	m, open := pinRecord(t)
+	m, open, openRebuilt := pinRecord(t)
 	calls := m.Calls()
 	if len(calls) != 2 {
 		t.Fatalf("recorded %d calls, want 2 (the nested call is inert)", len(calls))
@@ -65,13 +69,18 @@ func TestFingerprintPins(t *testing.T) {
 	if got, want := m.Fingerprint(), uint64(0x338ed1cb16b70bfb); got != want {
 		t.Errorf("Fingerprint() = %#x, want %#x", got, want)
 	}
-	var closed [2]uint64
+	var closed, closedRebuilt [2]uint64
 	closed[0], closed[1] = m.ReduceFingerprint()
-	if want := [2]uint64{0x4e6ed4f999aabb83, 0xb8415e245587fa76}; closed != want {
+	closedRebuilt[0], closedRebuilt[1] = reduceFingerprintRebuild(m)
+	if want := [2]uint64{0xd8f9234f3ee37391, 0xce3c16d4bdd6d9f0}; closed != want {
 		t.Errorf("ReduceFingerprint() = %#x, want %#x", closed, want)
 	}
-	if want := [2]uint64{0xdac252f6b73b9ae4, 0xb01284db4dc418f2}; open != want {
+	if want := [2]uint64{0xee02f441f500dcd4, 0x21ca466e4cbd0eaf}; open != want {
 		t.Errorf("ReduceFingerprint() with a call open = %#x, want %#x", open, want)
+	}
+	if closed != closedRebuilt || open != openRebuilt {
+		t.Errorf("ReduceFingerprint() = %#x and %#x with a call open; rebuilt %#x and %#x",
+			closed, open, closedRebuilt, openRebuilt)
 	}
 	for tid, want := range []uint64{8, 5, 0} {
 		if got := m.ReduceThreadMuts(tid); got != want {

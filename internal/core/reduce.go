@@ -50,9 +50,15 @@ func reduceBool(b bool) uint64 {
 }
 
 // ReduceFingerprint hashes the monitor's full recorded state — every
-// call in begin order with identity, arguments, return, ordering points,
-// pending potentials, aux values, and open/closed status, plus the
-// per-thread nesting depths. It implements checker.AuxFingerprinter.
+// call with identity, arguments, return, ordering points, pending
+// potentials, aux values, and open/closed status, plus the call count
+// and the per-thread nesting depths. It implements
+// checker.AuxFingerprinter.
+//
+// Each call's entry is cached on the call (Call.fp) until a mutator
+// invalidates it, so a fingerprint rehashes only the calls that changed
+// and sums the rest. The entry includes the call's ID, which is its
+// position in begin order, so the sum stays order-sensitive.
 //
 // Thread identity is the raw tid (the same identity the spec-check
 // fingerprint in cache.go serializes), not the checker's canonical id:
@@ -63,35 +69,13 @@ func reduceBool(b bool) uint64 {
 // number), which replay reproduces exactly; trace IDs are not used (they
 // shift with unrelated interleaving).
 func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
-	var p reducePair
-	p.push(uint64(len(m.calls)))
+	var sa, sb uint64
 	for _, c := range m.calls {
-		p.push(uint64(c.ID))
-		p.push(uint64(c.Thread))
-		p.pushString(c.Name)
-		p.push(uint64(len(c.Args)))
-		for _, a := range c.Args {
-			p.push(uint64(a))
+		if !c.fpOK {
+			c.fp, c.fpOK = c.reduceEntry(), true
 		}
-		p.push(reduceBool(c.HasRet))
-		p.push(uint64(c.Ret))
-		p.push(reduceBool(c.ended))
-		p.push(uint64(len(c.OPs)))
-		for _, a := range c.OPs {
-			p.push(uint64(a.Thread))
-			p.push(uint64(a.TSeq))
-		}
-		p.push(uint64(len(c.potentials)))
-		for _, pot := range c.potentials {
-			p.pushString(pot.label)
-			p.push(uint64(pot.act.Thread))
-			p.push(uint64(pot.act.TSeq))
-		}
-		p.push(uint64(len(c.aux)))
-		for _, a := range c.aux {
-			p.pushString(a.key)
-			p.push(uint64(a.v))
-		}
+		sa += c.fp.a
+		sb += c.fp.b
 	}
 	// Nesting depths fold commutatively; zero depths are
 	// absent-equivalent and skipped.
@@ -106,10 +90,50 @@ func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
 		da += e.a
 		db += e.b
 	}
+	var p reducePair
+	p.push(uint64(len(m.calls)))
+	p.push(sa)
+	p.push(sb)
 	p.push(da)
 	p.push(db)
 	return p.a, p.b
 }
+
+// reduceEntry hashes one call's record from its fields.
+func (c *Call) reduceEntry() reducePair {
+	var p reducePair
+	p.push(uint64(c.ID))
+	p.push(uint64(c.Thread))
+	p.pushString(c.Name)
+	p.push(uint64(len(c.Args)))
+	for _, a := range c.Args {
+		p.push(uint64(a))
+	}
+	p.push(reduceBool(c.HasRet))
+	p.push(uint64(c.Ret))
+	p.push(reduceBool(c.ended))
+	p.push(uint64(len(c.OPs)))
+	for _, a := range c.OPs {
+		p.push(uint64(a.Thread))
+		p.push(uint64(a.TSeq))
+	}
+	p.push(uint64(len(c.potentials)))
+	for _, pot := range c.potentials {
+		p.pushString(pot.label)
+		p.push(uint64(pot.act.Thread))
+		p.push(uint64(pot.act.TSeq))
+	}
+	p.push(uint64(len(c.aux)))
+	for _, a := range c.aux {
+		p.pushString(a.key)
+		p.push(uint64(a.v))
+	}
+	return p
+}
+
+// invalidate drops the call's cached fingerprint entry; every mutator of
+// a field reduceEntry hashes calls it.
+func (c *Call) invalidate() { c.fpOK = false }
 
 // ReduceThreadMuts reports how many spec-layer mutations thread tid has
 // performed (checker.AuxMutTracker). The counter is per-thread — other

@@ -292,6 +292,28 @@ func msqueueBenchmark() *Benchmark {
 	}
 }
 
+// MSQueue3x3 is the M&S queue test with three operations per thread
+// (the benchmark's "M&S Queue 3+3" row): the workload whose execution
+// count the reductions cut the most.
+func MSQueue3x3(ord *memmodel.OrderTable) func(*checker.Thread) {
+	return func(root *checker.Thread) {
+		q := msqueue.New(root, "q", ord)
+		a := root.Spawn("a", func(tt *checker.Thread) {
+			q.Enq(tt, 1)
+			q.Deq(tt)
+			q.Enq(tt, 3)
+		})
+		b := root.Spawn("b", func(tt *checker.Thread) {
+			q.Enq(tt, 2)
+			q.Deq(tt)
+			q.Deq(tt)
+		})
+		root.Join(a)
+		root.Join(b)
+		q.Deq(root)
+	}
+}
+
 func linuxrwlockBenchmark() *Benchmark {
 	return &Benchmark{
 		Name:   "Linux RW Lock",

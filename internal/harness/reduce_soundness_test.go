@@ -195,6 +195,64 @@ func TestReduceExecutionCountsPinned(t *testing.T) {
 	}
 }
 
+// reducedPin is one row of TestReduceOneWorkerResultsPinned: a Result's
+// execution counts and its reduction and branching counters.
+type reducedPin struct {
+	executions, feasible, pruned                       int
+	rfClasses, rfPrunes, spinBounds, symPrunes         int
+	sleepPrunes, fairPrunes, rfBranches, schedBranches int
+	totalSteps                                         int
+}
+
+// TestReduceOneWorkerResultsPinned pins the one-worker reduced Result of
+// every primary unit test and of the 3+3 M&S workload, as `cdsspec
+// explore` runs them (every reduction on). One worker explores in a
+// fixed order, so every counter is a function of the program and of
+// which states the fingerprint calls equal. A change to how the
+// fingerprint is computed must leave every row alone.
+func TestReduceOneWorkerResultsPinned(t *testing.T) {
+	ms := BenchmarkByName("M&S Queue")
+	want := map[string]reducedPin{
+		"Chase-Lev Deque":    {197, 31, 166, 31, 104, 0, 0, 62, 0, 46, 123, 4132},
+		"SPSC Queue":         {72, 20, 52, 20, 24, 0, 0, 12, 16, 48, 23, 1272},
+		"RCU":                {51, 20, 31, 20, 20, 6, 0, 5, 6, 26, 22, 948},
+		"Lockfree Hashtable": {72, 30, 42, 30, 30, 0, 0, 12, 0, 0, 71, 1604},
+		"MCS Lock":           {98, 24, 74, 24, 57, 24, 1, 7, 10, 41, 56, 1874},
+		"MPMC Queue":         {5507, 683, 4824, 683, 3909, 1407, 0, 576, 339, 1911, 3595, 204594},
+		"M&S Queue":          {495, 83, 412, 83, 293, 0, 0, 115, 4, 146, 348, 13262},
+		"Linux RW Lock":      {1820, 751, 1069, 751, 896, 272, 0, 2, 171, 563, 1040, 37766},
+		"Seqlock":            {4405, 953, 3452, 953, 2477, 571, 0, 422, 553, 2072, 1860, 117374},
+		"Ticket Lock":        {14, 3, 11, 3, 8, 0, 1, 1, 2, 6, 7, 172},
+		"M&S Queue 3+3":      {11594, 2032, 9562, 1992, 5617, 0, 0, 2544, 1401, 6229, 5292, 539837},
+	}
+	type row struct {
+		name string
+		spec func() *core.Spec
+		prog func(*checker.Thread)
+	}
+	var rows []row
+	for _, b := range Benchmarks() {
+		rows = append(rows, row{b.Name, b.Spec, b.Progs(b.Orders())[0]})
+	}
+	rows = append(rows, row{"M&S Queue 3+3", ms.Spec, MSQueue3x3(ms.Orders())})
+	for _, r := range rows {
+		res := core.Explore(r.spec(), checker.Config{Parallelism: 1, Reduce: checker.ReduceAll()}, r.prog)
+		s := res.Stats
+		got := reducedPin{
+			res.Executions, res.Feasible, res.Pruned,
+			s.RFClasses, s.RFEquivPrunes, s.SpinloopBounds, s.SymmetryPrunes,
+			s.PrunedSleepSet, s.PrunedFairness, s.RFBranchPoints, s.ScheduleBranchPoints,
+			s.TotalSteps,
+		}
+		if got != want[r.name] {
+			t.Errorf("%s: reduced one-worker result\n got  %+v\n want %+v", r.name, got, want[r.name])
+		}
+		if res.FailureCount != 0 || !res.Exhausted {
+			t.Errorf("%s: %d failures, exhausted=%v; want 0 failures and an exhausted run", r.name, res.FailureCount, res.Exhausted)
+		}
+	}
+}
+
 // TestReduceRatioMSQueueWorkload is the msqueue side of the >=5x
 // acceptance gate. The primary Figure 7 workload (2+2 operations) tops
 // out near 4x — each convergence the rf check discovers still costs the
@@ -207,23 +265,7 @@ func TestReduceRatioMSQueueWorkload(t *testing.T) {
 		t.Skip("unreduced leg explores >600k executions")
 	}
 	b := BenchmarkByName("M&S Queue")
-	ord := b.Orders()
-	prog := func(root *checker.Thread) {
-		q := msqueue.New(root, "q", ord)
-		a := root.Spawn("a", func(tt *checker.Thread) {
-			q.Enq(tt, 1)
-			q.Deq(tt)
-			q.Enq(tt, 3)
-		})
-		bb := root.Spawn("b", func(tt *checker.Thread) {
-			q.Enq(tt, 2)
-			q.Deq(tt)
-			q.Deq(tt)
-		})
-		root.Join(a)
-		root.Join(bb)
-		q.Deq(root)
-	}
+	prog := MSQueue3x3(b.Orders())
 	u := specLeg(b.Spec(), checker.Config{}, prog)
 	r := specLeg(b.Spec(), checker.Config{Reduce: checker.ReduceAll()}, prog)
 	behaviorEqual(t, "msqueue-3x3", u, r)
