@@ -699,7 +699,7 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 	if c.FastMode {
 		return exploreFast(c, root)
 	}
-	return exploreWorkSteal(c, root)
+	return newWSEngine(c, root).run()
 }
 
 // runExecution performs a single execution under the given chooser on

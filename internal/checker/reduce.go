@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/memmodel"
 )
 
 // This file implements the execution-equivalence reduction layer: the
@@ -127,7 +129,8 @@ type AuxFingerprinter interface {
 }
 
 // mix64 is the splitmix64 finalizer — a cheap full-avalanche bijection
-// used both to chain stream hashes and to derive canonical thread ids.
+// used both to chain lane A of the stream hashes and to derive canonical
+// thread ids.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -137,20 +140,36 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// fmix64 is murmur3's 64-bit finalizer, lane B's bijection. Its
+// constants differ from mix64's, so the two lanes are different
+// permutations.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // fpPair is a two-lane order-sensitive hash stream. Two independent
 // lanes make accidental 64-bit collisions (which would cause an unsound
-// prune) a 128-bit event.
+// prune) a 128-bit event (DESIGN.md §5c).
 type fpPair struct{ a, b uint64 }
 
+// The lane constants keep a stream of zero words from hashing to zero
+// (both finalizers map 0 to 0), so zero streams of different lengths
+// stay apart.
 const (
 	fpLaneA = 0x9e3779b97f4a7c15
 	fpLaneB = 0xc2b2ae3d27d4eb4f
 )
 
-// push chains one word into the stream (order-sensitive).
+// push chains one word into the stream (order-sensitive): one finalizer
+// round per lane.
 func (p *fpPair) push(w uint64) {
-	p.a = mix64(p.a ^ mix64(w^fpLaneA))
-	p.b = mix64(p.b ^ mix64(w^fpLaneB))
+	p.a = mix64(p.a ^ w ^ fpLaneA)
+	p.b = fmix64(p.b ^ w ^ fpLaneB)
 }
 
 // fpKey is a combined state fingerprint.
@@ -220,7 +239,8 @@ func (s *System) fpTouch(o *fpObj) {
 	}
 }
 
-// Thread-stream opcodes.
+// Stream opcodes. Every opcode is below 256, so fpOpWord's packing is
+// injective; fpOpUnlock is the last.
 const (
 	fpOpLoad uint64 = iota + 1
 	fpOpStore
@@ -237,14 +257,18 @@ const (
 	fpOpUnlock
 )
 
+// fpOpWord packs an opcode (below 256) and a 32-bit sequence number
+// into one stream word.
+func fpOpWord(op uint64, seq uint32) uint64 { return op | uint64(seq)<<8 }
+
 // rfShards is the seen-set shard count (mutex-striped, like the spec
 // cache's per-shard locking).
 const rfShards = 16
 
-// rfSeenSet is the shared registry of witnessed state fingerprints. The
-// prefix map holds branch-point states with the sleep signatures they
-// were registered under; the complete map holds finished feasible
-// executions and backs the RFClasses counter.
+// rfSeenSet is the shared registry of witnessed state fingerprints. Each
+// shard's prefix table holds branch-point states with the sleep
+// signatures they were registered under; its complete table holds
+// finished feasible executions and backs the RFClasses counter.
 type rfSeenSet struct {
 	classes atomic.Int64
 	shards  [rfShards]rfShard
@@ -253,22 +277,72 @@ type rfSeenSet struct {
 type rfShard struct {
 	mu sync.Mutex
 	// prefix maps a branch-point state key to the sleep signatures it has
-	// been registered (and therefore explored) under. Each signature is a
-	// sorted slice of per-sleeper entry hashes.
-	prefix   map[fpKey][][]uint64
-	complete map[fpKey]struct{}
+	// been registered (and therefore explored) under: refEmpty for the
+	// empty signature, else i+1 for sleeps[i], the key's list of non-empty
+	// signatures, each a sorted slice of per-sleeper entry hashes.
+	prefix   fpTable
+	sleeps   [][][]uint64
+	complete fpTable
 }
 
 func newRFSeenSet() *rfSeenSet {
 	s := &rfSeenSet{}
 	for i := range s.shards {
-		s.shards[i].prefix = map[fpKey][][]uint64{}
-		s.shards[i].complete = map[fpKey]struct{}{}
+		s.shards[i].prefix.init()
+		s.shards[i].complete.init()
 	}
 	return s
 }
 
 func (s *rfSeenSet) shard(k fpKey) *rfShard { return &s.shards[k.a%rfShards] }
+
+// fpTable is an open-addressing hash table from state keys to int32
+// references, with linear probing from k.b (k.a already picked the
+// shard). Its size is a power of two and it is at most 3/4 full, so
+// every probe sequence ends at an empty slot.
+type fpTable struct {
+	slots []fpSlot
+	used  int
+}
+
+// fpSlot is one table entry; ref 0 marks it empty.
+type fpSlot struct {
+	key fpKey
+	ref int32
+}
+
+// refEmpty is the reference of a key registered under the empty sleep
+// signature, and the mark of a complete-table member.
+const refEmpty int32 = -1
+
+func (t *fpTable) init() { t.slots = make([]fpSlot, 16) }
+
+// find returns k's slot, or the empty slot where k belongs. The slot
+// stays valid until the next insert.
+func (t *fpTable) find(k fpKey) *fpSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := k.b & mask; ; i = (i + 1) & mask {
+		if sl := &t.slots[i]; sl.ref == 0 || sl.key == k {
+			return sl
+		}
+	}
+}
+
+// insert fills sl, the empty slot find returned for k, and doubles the
+// table once it is more than 3/4 full.
+func (t *fpTable) insert(sl *fpSlot, k fpKey, ref int32) {
+	sl.key, sl.ref = k, ref
+	if t.used++; 4*t.used <= 3*len(t.slots) {
+		return
+	}
+	old := t.slots
+	t.slots = make([]fpSlot, 2*len(old))
+	for _, o := range old {
+		if o.ref != 0 {
+			*t.find(o.key) = o
+		}
+	}
+}
 
 // subsetOf reports whether sorted slice a is a subset of sorted slice b.
 func subsetOf(a, b []uint64) bool {
@@ -293,17 +367,38 @@ func subsetOf(a, b []uint64) bool {
 // sleep signature no larger than the caller's — the registered instance
 // explores a superset of the caller's continuations. Otherwise it
 // registers the caller (who must then explore) and returns false. The
-// check and the insert share one critical section, so exactly one of two
-// racing equal-state workers explores; the loser prunes.
+// check and the insert share one critical section and one probe
+// sequence, so exactly one of two racing equal-state workers explores;
+// the loser prunes.
 func (s *rfSeenSet) seenPrefix(k fpKey, sleep []uint64) bool {
 	sh := s.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	list := sh.prefix[k]
+	sl := sh.prefix.find(k)
+	switch sl.ref {
+	case refEmpty:
+		// Every caller's signature contains the empty one.
+		return true
+	case 0:
+		ref := refEmpty
+		if len(sleep) > 0 {
+			sh.sleeps = append(sh.sleeps, [][]uint64{slices.Clone(sleep)})
+			ref = int32(len(sh.sleeps))
+		}
+		sh.prefix.insert(sl, k, ref)
+		return false
+	}
+	list := sh.sleeps[sl.ref-1]
 	for _, reg := range list {
 		if subsetOf(reg, sleep) {
 			return true
 		}
+	}
+	if len(sleep) == 0 {
+		// The empty signature dominates every registered one.
+		sh.sleeps[sl.ref-1] = nil
+		sl.ref = refEmpty
+		return false
 	}
 	// Register under our (incomparable or smaller) sleep signature,
 	// dropping registered supersets we now dominate.
@@ -313,9 +408,7 @@ func (s *rfSeenSet) seenPrefix(k fpKey, sleep []uint64) bool {
 			kept = append(kept, reg)
 		}
 	}
-	own := make([]uint64, len(sleep))
-	copy(own, sleep)
-	sh.prefix[k] = append(kept, own)
+	sh.sleeps[sl.ref-1] = append(kept, slices.Clone(sleep))
 	return false
 }
 
@@ -324,12 +417,13 @@ func (s *rfSeenSet) seenPrefix(k fpKey, sleep []uint64) bool {
 func (s *rfSeenSet) addComplete(k fpKey) {
 	sh := s.shard(k)
 	sh.mu.Lock()
-	_, seen := sh.complete[k]
-	if !seen {
-		sh.complete[k] = struct{}{}
+	sl := sh.complete.find(k)
+	added := sl.ref == 0
+	if added {
+		sh.complete.insert(sl, k, refEmpty)
 	}
 	sh.mu.Unlock()
-	if !seen {
+	if added {
 		s.classes.Add(1)
 	}
 }
@@ -423,6 +517,9 @@ func (s *System) canonOf(tid int) uint64 {
 
 // --- incremental stream hooks (called from system.go / ops.go) ---
 
+// Every record below has a fixed length in its stream and starts with
+// an fpOpWord, so a stream is an injective encoding of its records.
+
 // fpThreadOp appends one operation to t's history stream. loc may be
 // nil for fences/yields; a/b carry op-specific payload (rf index and
 // value for loads, mo index and value for stores, ...).
@@ -430,14 +527,13 @@ func (s *System) fpThreadOp(t *Thread, op uint64, loc *location, a, b uint64) {
 	if s.cfg.rfSeen == nil {
 		return
 	}
-	t.fp.push(op)
+	var canonA uint64
+	var canonSeq uint32
 	if loc != nil {
-		t.fp.push(loc.canonA)
-		t.fp.push(uint64(loc.canonSeq))
-	} else {
-		t.fp.push(0)
-		t.fp.push(0)
+		canonA, canonSeq = loc.canonA, loc.canonSeq
 	}
+	t.fp.push(fpOpWord(op, canonSeq))
+	t.fp.push(canonA)
 	t.fp.push(a)
 	t.fp.push(b)
 }
@@ -447,9 +543,8 @@ func (s *System) fpMoOp(loc *location, op uint64, writer *Thread, val uint64) {
 	if s.cfg.rfSeen == nil {
 		return
 	}
-	loc.fpOrder.push(op)
+	loc.fpOrder.push(fpOpWord(op, writer.tseq))
 	loc.fpOrder.push(writer.canon)
-	loc.fpOrder.push(uint64(writer.tseq))
 	loc.fpOrder.push(val)
 	s.fpTouch(&loc.fpObj)
 }
@@ -457,13 +552,12 @@ func (s *System) fpMoOp(loc *location, op uint64, writer *Thread, val uint64) {
 // fpSCOp appends one action to the global seq_cst order stream. Hooked
 // in assignSCIndex, so whatever SC order the active model backend
 // induces is captured automatically.
-func (s *System) fpSCOp(t *Thread, kind uint64) {
+func (s *System) fpSCOp(t *Thread, kind memmodel.Kind) {
 	if s.cfg.rfSeen == nil {
 		return
 	}
-	s.fpSC.push(kind)
+	s.fpSC.push(fpOpWord(uint64(kind), t.tseq))
 	s.fpSC.push(t.canon)
-	s.fpSC.push(uint64(t.tseq))
 }
 
 // fpMutexOp appends one acquisition-order event to m's stream and
@@ -472,14 +566,12 @@ func (s *System) fpMutexOp(m *Mutex, op uint64, t *Thread, outcome uint64) {
 	if s.cfg.rfSeen == nil {
 		return
 	}
-	m.fpOrder.push(op)
+	m.fpOrder.push(fpOpWord(op, t.tseq))
 	m.fpOrder.push(t.canon)
-	m.fpOrder.push(uint64(t.tseq))
 	m.fpOrder.push(outcome)
 	s.fpTouch(&m.fpObj)
-	t.fp.push(op)
+	t.fp.push(fpOpWord(op, m.canonSeq))
 	t.fp.push(m.canonA)
-	t.fp.push(uint64(m.canonSeq))
 	t.fp.push(outcome)
 	t.fp.push(0)
 }

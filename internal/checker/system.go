@@ -853,7 +853,7 @@ func (s *System) assignSCIndex(act *memmodel.Action, ord memmodel.MemOrder) {
 		act.SCIndex = s.scCount
 		s.scCount++
 		if s.cfg.rfSeen != nil {
-			s.fpSCOp(s.threads[act.Thread], uint64(act.Kind))
+			s.fpSCOp(s.threads[act.Thread], act.Kind)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -42,12 +41,12 @@ func deferredUnlockProgram(root *Thread) {
 	root.Join(w)
 }
 
-// exploreWithin runs Explore and fails the test if it does not return
+// exploreWithin runs explore and fails the test if it does not return
 // within the deadline.
-func exploreWithin(t *testing.T, name string, cfg Config, prog func(*Thread)) *Result {
+func exploreWithin(t *testing.T, name string, explore func() *Result) *Result {
 	t.Helper()
 	done := make(chan *Result, 1)
-	go func() { done <- Explore(cfg, prog) }()
+	go func() { done <- explore() }()
 	select {
 	case res := <-done:
 		return res
@@ -75,7 +74,7 @@ func TestDeferredOpInAbandonedExecution(t *testing.T) {
 			var want string
 			for _, cfg := range []Config{{}, {Parallelism: 4}, KernelOptsOff(Config{}), KernelOptsOff(Config{Parallelism: 4})} {
 				name := fmt.Sprintf("dfs par=%d pooled=%v", cfg.Parallelism, !cfg.disablePooling)
-				res := exploreWithin(t, name, cfg, tc.prog)
+				res := exploreWithin(t, name, func() *Result { return Explore(cfg, tc.prog) })
 				if res.Executions != tc.execs || res.Feasible != tc.feasible || res.FailureCount != tc.failures || !res.Exhausted {
 					t.Errorf("%s: got %v (exhausted=%v), want %d executions, %d feasible, %d failures",
 						name, res, res.Exhausted, tc.execs, tc.feasible, tc.failures)
@@ -90,7 +89,7 @@ func TestDeferredOpInAbandonedExecution(t *testing.T) {
 			for _, cfg := range []Config{{Parallelism: 1}, {Parallelism: 4}, KernelOptsOff(Config{}), KernelOptsOff(Config{Parallelism: 4})} {
 				cfg.FastMode, cfg.MaxExecutions, cfg.Seed = true, 200, 3
 				name := fmt.Sprintf("fast par=%d pooled=%v", cfg.Parallelism, !cfg.disablePooling)
-				res := exploreWithin(t, name, cfg, tc.prog)
+				res := exploreWithin(t, name, func() *Result { return Explore(cfg, tc.prog) })
 				if res.Executions != 200 || res.Feasible != tc.fastFeasible || res.FailureCount != tc.fastFailures {
 					t.Errorf("%s: got %v, want 200 runs, %d feasible, %d failures", name, res, tc.fastFeasible, tc.fastFailures)
 				}
@@ -145,18 +144,29 @@ func TestNoGoroutineOutlivesExplore(t *testing.T) {
 			root.Spawn(fmt.Sprintf("t%d", i), func(tt *Thread) {})
 		}
 	}
-	interruptAt := func(cfg Config, n int) Config {
+	// interrupt closes Interrupt at the third execution and holds that
+	// worker in OnExecution until the engine has recorded the stop, so a
+	// fast worker cannot run every execution before the supervisor
+	// reacts. It runs the engine directly, to watch its stop flag.
+	interrupt := func() *Result {
 		intr := make(chan struct{})
-		var once sync.Once
 		execs := 0
-		cfg.Interrupt = intr
-		cfg.OnExecution = func(*System) []*Failure {
-			if execs++; execs == n {
-				once.Do(func() { close(intr) })
+		var e *wsEngine
+		cfg := Config{Interrupt: intr, OnExecution: func(*System) []*Failure {
+			if execs++; execs != 3 {
+				return nil
+			}
+			close(intr)
+			for deadline := time.Now().Add(10 * time.Second); !e.stop.Load(); time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Error("interrupt: the engine did not record the stop within 10s")
+					break
+				}
 			}
 			return nil
-		}
-		return cfg
+		}}
+		e = newWSEngine(cfg.withDefaults(), manyExecProgram)
+		return e.run()
 	}
 	// allHooks arms the supervisor's three channels: an Interrupt that
 	// never fires and both snapshot tickers.
@@ -168,26 +178,28 @@ func TestNoGoroutineOutlivesExplore(t *testing.T) {
 		cfg.CheckpointEvery = time.Millisecond
 		return cfg
 	}
+	explore := func(cfg Config, prog func(*Thread)) func() *Result {
+		return func() *Result { return Explore(cfg, prog) }
+	}
 	base := runtime.NumGoroutine()
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		prog func(*Thread)
-		want func(*Result) bool
+		name    string
+		explore func() *Result
+		want    func(*Result) bool
 	}{
-		{"dfs-1", Config{}, manyExecProgram, func(r *Result) bool { return r.Exhausted }},
-		{"dfs-4", Config{Parallelism: 4}, manyExecProgram, func(r *Result) bool { return r.Exhausted }},
-		{"dfs-4-hooks", allHooks(Config{Parallelism: 4}), manyExecProgram, func(r *Result) bool { return r.Exhausted }},
-		{"fast-1", Config{FastMode: true, MaxExecutions: 50}, manyExecProgram, func(r *Result) bool { return r.Executions == 50 }},
-		{"fast-3", Config{FastMode: true, MaxExecutions: 50, Parallelism: 3}, manyExecProgram, func(r *Result) bool { return r.Executions == 50 }},
-		{"max-executions", Config{MaxExecutions: 3}, manyExecProgram, func(r *Result) bool { return r.Executions == 3 && !r.Exhausted }},
-		{"stop-at-first", Config{StopAtFirst: true}, deferredStoreProgram, func(r *Result) bool { return r.FailureCount == 1 && !r.Exhausted }},
-		{"interrupt", interruptAt(Config{}, 3), manyExecProgram, func(r *Result) bool { return r.Executions >= 3 && !r.Exhausted }},
-		{"user-panic", Config{}, panicProgram, func(r *Result) bool { return r.HasKind(FailAssertion) && r.Exhausted }},
-		{"too-many-threads", Config{}, tooMany, func(r *Result) bool { return r.HasKind(FailAPIMisuse) }},
-		{"kernel-opts-off", KernelOptsOff(Config{}), panicProgram, func(r *Result) bool { return r.HasKind(FailAssertion) && r.Exhausted }},
+		{"dfs-1", explore(Config{}, manyExecProgram), func(r *Result) bool { return r.Exhausted }},
+		{"dfs-4", explore(Config{Parallelism: 4}, manyExecProgram), func(r *Result) bool { return r.Exhausted }},
+		{"dfs-4-hooks", explore(allHooks(Config{Parallelism: 4}), manyExecProgram), func(r *Result) bool { return r.Exhausted }},
+		{"fast-1", explore(Config{FastMode: true, MaxExecutions: 50}, manyExecProgram), func(r *Result) bool { return r.Executions == 50 }},
+		{"fast-3", explore(Config{FastMode: true, MaxExecutions: 50, Parallelism: 3}, manyExecProgram), func(r *Result) bool { return r.Executions == 50 }},
+		{"max-executions", explore(Config{MaxExecutions: 3}, manyExecProgram), func(r *Result) bool { return r.Executions == 3 && !r.Exhausted }},
+		{"stop-at-first", explore(Config{StopAtFirst: true}, deferredStoreProgram), func(r *Result) bool { return r.FailureCount == 1 && !r.Exhausted }},
+		{"interrupt", interrupt, func(r *Result) bool { return r.Executions >= 3 && !r.Exhausted }},
+		{"user-panic", explore(Config{}, panicProgram), func(r *Result) bool { return r.HasKind(FailAssertion) && r.Exhausted }},
+		{"too-many-threads", explore(Config{}, tooMany), func(r *Result) bool { return r.HasKind(FailAPIMisuse) }},
+		{"kernel-opts-off", explore(KernelOptsOff(Config{}), panicProgram), func(r *Result) bool { return r.HasKind(FailAssertion) && r.Exhausted }},
 	} {
-		res := exploreWithin(t, tc.name, tc.cfg, tc.prog)
+		res := exploreWithin(t, tc.name, tc.explore)
 		if !tc.want(res) {
 			t.Errorf("%s: unexpected result %v (exhausted=%v)", tc.name, res, res.Exhausted)
 		}

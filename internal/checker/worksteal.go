@@ -77,10 +77,11 @@ type wsWorker struct {
 	subs []*wsTask
 }
 
-// exploreWorkSteal runs the engine; c has defaults applied. FastMode
-// routes through its own engine before this one (see the routing note on
+// newWSEngine builds the engine for c, which has defaults applied, with
+// the root task or the resumed frontier queued. FastMode routes through
+// its own engine before this one (see the routing note on
 // Config.FastMode).
-func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
+func newWSEngine(c *Config, root func(*Thread)) *wsEngine {
 	workers := c.Parallelism
 	if workers < 1 {
 		workers = 1
@@ -112,7 +113,13 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		// Resumed a completed run: nothing outstanding.
 		e.lot.done = true
 	}
+	return e
+}
 
+// run explores until the frontier drains or the run stops, and returns
+// the folded Result.
+func (e *wsEngine) run() *Result {
+	c := e.c
 	quit := make(chan struct{})
 	var supervisor sync.WaitGroup
 	if c.Interrupt != nil || c.Progress != nil || c.CheckpointEvery > 0 {
@@ -124,7 +131,7 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 	}
 	// Worker 0 runs on the calling goroutine.
 	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
+	for w := 1; w < len(e.deques); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

@@ -72,10 +72,10 @@ func TestFingerprintPins(t *testing.T) {
 	var closed, closedRebuilt [2]uint64
 	closed[0], closed[1] = m.ReduceFingerprint()
 	closedRebuilt[0], closedRebuilt[1] = reduceFingerprintRebuild(m)
-	if want := [2]uint64{0xd8f9234f3ee37391, 0xce3c16d4bdd6d9f0}; closed != want {
+	if want := [2]uint64{0xa1acff03d1ce5778, 0x1ba659b48b5bb01f}; closed != want {
 		t.Errorf("ReduceFingerprint() = %#x, want %#x", closed, want)
 	}
-	if want := [2]uint64{0xee02f441f500dcd4, 0x21ca466e4cbd0eaf}; open != want {
+	if want := [2]uint64{0xeafd38c4dfff622, 0x9e6d7fa1a42199e7}; open != want {
 		t.Errorf("ReduceFingerprint() with a call open = %#x, want %#x", open, want)
 	}
 	if closed != closedRebuilt || open != openRebuilt {

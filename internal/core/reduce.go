@@ -11,7 +11,8 @@ package core
 // iteration pure if the spinning thread performed no spec-layer mutation
 // in it, which the per-thread mutation counter witnesses.
 
-// reduceMix is the splitmix64 finalizer (mirrors the checker's mix64).
+// reduceMix is the splitmix64 finalizer (mirrors the checker's mix64),
+// lane A's bijection.
 func reduceMix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -21,14 +22,27 @@ func reduceMix(x uint64) uint64 {
 	return x
 }
 
+// reduceFmix is murmur3's 64-bit finalizer (mirrors the checker's
+// fmix64), lane B's bijection.
+func reduceFmix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // reducePair is a two-lane order-sensitive hash stream (mirrors the
 // checker's fpPair; two lanes make accidental collisions — which would
-// cause an unsound prune — a 128-bit event).
+// cause an unsound prune — a 128-bit event). The lane constants keep
+// zero streams of different lengths apart.
 type reducePair struct{ a, b uint64 }
 
+// push chains one word into the stream: one finalizer round per lane.
 func (p *reducePair) push(w uint64) {
-	p.a = reduceMix(p.a ^ reduceMix(w^0x9e3779b97f4a7c15))
-	p.b = reduceMix(p.b ^ reduceMix(w^0xc2b2ae3d27d4eb4f))
+	p.a = reduceMix(p.a ^ w ^ 0x9e3779b97f4a7c15)
+	p.b = reduceFmix(p.b ^ w ^ 0xc2b2ae3d27d4eb4f)
 }
 
 func (p *reducePair) pushString(s string) {

@@ -161,3 +161,27 @@ func TestReduceFingerprintCacheMatchesRebuild(t *testing.T) {
 		t.Errorf("only %d comparisons", checks)
 	}
 }
+
+// TestReducePairLanes: each lane of the monitor's stream hash keeps zero
+// streams of different lengths apart (the lane constants; both
+// finalizers map 0 to 0), and the two lanes disagree (different
+// finalizers and constants), so a false merge needs a collision in both.
+func TestReducePairLanes(t *testing.T) {
+	seenA, seenB := map[uint64]int{}, map[uint64]int{}
+	var p reducePair
+	for n := 0; n <= 16; n++ {
+		if n > 0 {
+			p.push(0)
+			if p.a == p.b {
+				t.Errorf("the lanes agree on the zero stream of length %d", n)
+			}
+		}
+		if m, ok := seenA[p.a]; ok {
+			t.Errorf("lane A: the zero streams of lengths %d and %d collide", m, n)
+		}
+		if m, ok := seenB[p.b]; ok {
+			t.Errorf("lane B: the zero streams of lengths %d and %d collide", m, n)
+		}
+		seenA[p.a], seenB[p.b] = n, n
+	}
+}
