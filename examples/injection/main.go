@@ -46,7 +46,7 @@ func main() {
 		if f := res.FirstFailure(); f != nil {
 			verdict = "detected via " + f.Kind.String()
 		}
-		fmt.Printf("%-22s %s -> %-10s %s\n", s.Name, s.Default, weak.Get(s.Name), verdict)
+		fmt.Printf("%-22s %s -> %-10s %s\n", s.Name, s.Default, weak.Changes()[0].Order, verdict)
 	}
 	fmt.Println()
 	fmt.Println("(The paper's Figure 8 runs this for all ten benchmarks: `cdsspec fig8`.)")

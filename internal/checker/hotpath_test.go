@@ -213,3 +213,22 @@ func BenchmarkExploreReduced(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKernelFastRing measures fast mode on the MPMC ring that the
+// bench's fast-screen workload samples at 4×25 000 operations (two
+// producers, two consumers, capacity 64), here at 4×2 000 so that one
+// iteration stays short. Each iteration is four seeded runs; ns/queue-op
+// is the time per simulated enqueue or dequeue.
+func BenchmarkKernelFastRing(b *testing.B) {
+	const perThread, runs = 2000, 4
+	prog := harness.MPMCRing(perThread, 64)
+	cfg := checker.Config{FastMode: true, Seed: 1, MaxExecutions: runs, MaxSteps: 100 * 4 * perThread}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res := checker.Explore(cfg, prog)
+		if res.Feasible != runs || res.FailureCount != 0 {
+			b.Fatalf("%d of %d runs feasible, %d failures", res.Feasible, runs, res.FailureCount)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs*4*perThread), "ns/queue-op")
+}

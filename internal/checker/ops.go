@@ -4,37 +4,49 @@ import (
 	"repro/internal/memmodel"
 )
 
+// The orders the atomic operations and Fence take are either bare
+// orders (memmodel.Acquire, ...) or the value a structure reads from its
+// order table (memmodel.OrderTable.Order), which carries the site it
+// came from. Each entry point splits that value first: the kernel
+// computes with the plain order, and the recorded action keeps the site
+// in Action.Site (0 for a bare order).
+
 // Load performs an atomic load with the given memory order. The set of
 // stores the load may read from is computed from the C/C++11 visibility
 // rules (coherence floors, seq_cst floors); when more than one store is
 // readable the exploration branches.
 func (a *Atomic) Load(t *Thread, ord memmodel.MemOrder) memmodel.Value {
+	ord, site := ord.Split()
 	t.schedulePoint(pendSig{class: sigMem, loc: a.loc.id, sc: ord.IsSeqCst()})
-	return t.sys.doLoad(t, a.loc, ord)
+	return t.sys.doLoad(t, a.loc, ord, site)
 }
 
 // Store performs an atomic store with the given memory order.
 func (a *Atomic) Store(t *Thread, ord memmodel.MemOrder, v memmodel.Value) {
+	ord, site := ord.Split()
 	t.schedulePoint(pendSig{class: sigMem, loc: a.loc.id, write: true, sc: ord.IsSeqCst()})
-	t.sys.doStore(t, a.loc, ord, v, nil)
+	t.sys.doStore(t, a.loc, ord, site, v, nil)
 }
 
 // Exchange atomically replaces the value and returns the previous one.
 func (a *Atomic) Exchange(t *Thread, ord memmodel.MemOrder, v memmodel.Value) memmodel.Value {
+	ord, site := ord.Split()
 	t.schedulePoint(pendSig{class: sigMem, loc: a.loc.id, write: true, sc: ord.IsSeqCst()})
-	return t.sys.doRMW(t, a.loc, ord, func(memmodel.Value) memmodel.Value { return v })
+	return t.sys.doRMW(t, a.loc, ord, site, func(memmodel.Value) memmodel.Value { return v })
 }
 
 // FetchAdd atomically adds delta and returns the previous value.
 func (a *Atomic) FetchAdd(t *Thread, ord memmodel.MemOrder, delta memmodel.Value) memmodel.Value {
+	ord, site := ord.Split()
 	t.schedulePoint(pendSig{class: sigMem, loc: a.loc.id, write: true, sc: ord.IsSeqCst()})
-	return t.sys.doRMW(t, a.loc, ord, func(old memmodel.Value) memmodel.Value { return old + delta })
+	return t.sys.doRMW(t, a.loc, ord, site, func(old memmodel.Value) memmodel.Value { return old + delta })
 }
 
 // FetchSub atomically subtracts delta and returns the previous value.
 func (a *Atomic) FetchSub(t *Thread, ord memmodel.MemOrder, delta memmodel.Value) memmodel.Value {
+	ord, site := ord.Split()
 	t.schedulePoint(pendSig{class: sigMem, loc: a.loc.id, write: true, sc: ord.IsSeqCst()})
-	return t.sys.doRMW(t, a.loc, ord, func(old memmodel.Value) memmodel.Value { return old - delta })
+	return t.sys.doRMW(t, a.loc, ord, site, func(old memmodel.Value) memmodel.Value { return old - delta })
 }
 
 // CAS is compare_exchange_strong: it atomically replaces the value with
@@ -42,9 +54,12 @@ func (a *Atomic) FetchSub(t *Thread, ord memmodel.MemOrder, delta memmodel.Value
 // value read with failOrd; a failing CAS behaves as a load and may read
 // any visible store whose value differs from expected (C/C++11 allows a
 // strong CAS to fail on a stale read even when the newest value matches).
+// A success records succOrd's site, a failure failOrd's.
 func (a *Atomic) CAS(t *Thread, expected, desired memmodel.Value, succOrd, failOrd memmodel.MemOrder) (memmodel.Value, bool) {
+	succOrd, succSite := succOrd.Split()
+	failOrd, failSite := failOrd.Split()
 	t.schedulePoint(pendSig{class: sigMem, loc: a.loc.id, write: true, sc: succOrd.IsSeqCst() || failOrd.IsSeqCst()})
-	return t.sys.doCAS(t, a.loc, expected, desired, succOrd, failOrd)
+	return t.sys.doCAS(t, a.loc, expected, desired, succOrd, succSite, failOrd, failSite)
 }
 
 // RawLoad performs a *non-atomic* load of an atomic location — the mixed
@@ -68,8 +83,9 @@ func (a *Atomic) RawStore(t *Thread, v memmodel.Value) {
 // Fence issues a stand-alone memory fence with the given order on behalf
 // of the calling thread.
 func Fence(t *Thread, ord memmodel.MemOrder) {
+	ord, site := ord.Split()
 	t.schedulePoint(pendSig{class: sigFence, loc: -1, sc: ord.IsSeqCst()})
-	t.sys.doFence(t, ord)
+	t.sys.doFence(t, ord, site)
 }
 
 // Load performs a non-atomic load. It returns the value of the
@@ -123,7 +139,7 @@ func (m *Mutex) Lock(t *Thread) {
 	if t.clock.Merge(m.clock) {
 		t.clockEpoch++
 	}
-	t.sys.record(t, memmodel.KindLock, memmodel.Acquire, nil, 0)
+	t.sys.record(t, memmodel.KindLock, memmodel.Acquire, 0, nil, 0)
 	t.sys.fpMutexOp(m, fpOpLock, t, 1)
 	t.spinClear()
 	t.sys.sleep.wake(pendSig{class: sigMutex, loc: m.id, write: true})
@@ -136,7 +152,7 @@ func (m *Mutex) TryLock(t *Thread) bool {
 		t.sys.stepCount++
 		t.tseq++
 		t.clock.Set(t.id, t.tseq)
-		t.sys.record(t, memmodel.KindLock, memmodel.Relaxed, nil, 0)
+		t.sys.record(t, memmodel.KindLock, memmodel.Relaxed, 0, nil, 0)
 		t.sys.fpMutexOp(m, fpOpTryLock, t, 0)
 		t.spinClear()
 		return false
@@ -148,7 +164,7 @@ func (m *Mutex) TryLock(t *Thread) bool {
 	if t.clock.Merge(m.clock) {
 		t.clockEpoch++
 	}
-	t.sys.record(t, memmodel.KindLock, memmodel.Acquire, nil, 0)
+	t.sys.record(t, memmodel.KindLock, memmodel.Acquire, 0, nil, 0)
 	t.sys.fpMutexOp(m, fpOpTryLock, t, 1)
 	t.spinClear()
 	t.sys.sleep.wake(pendSig{class: sigMutex, loc: m.id, write: true})
@@ -171,7 +187,7 @@ func (m *Mutex) Unlock(t *Thread) {
 	m.clock = t.sys.snap(t.clock)
 	m.owner = -1
 	t.sys.storeEpoch++ // an unlock can unblock spinners and lock-waiters
-	t.sys.record(t, memmodel.KindUnlock, memmodel.Release, nil, 0)
+	t.sys.record(t, memmodel.KindUnlock, memmodel.Release, 0, nil, 0)
 	t.sys.fpMutexOp(m, fpOpUnlock, t, 0)
 	t.spinClear()
 	t.sys.sleep.wake(pendSig{class: sigMutex, loc: m.id, write: true})

@@ -337,43 +337,52 @@ func (s *System) checkLifetime(t *Thread, loc *location, what string) {
 	}
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
-	s.record(t, memmodel.KindAtomicLoad, memmodel.Relaxed, loc, 0)
+	s.record(t, memmodel.KindAtomicLoad, memmodel.Relaxed, 0, loc, 0)
 	s.failf(FailUninitLoad, "%s of %s: the location's creation does not happen-before the access (unpublished memory)", what, loc.name)
 }
 
 // record appends an action to the trace and snapshots the thread's clock.
 // The caller must already have bumped t.tseq and applied any clock merges
-// the action performs.
-func (s *System) record(t *Thread, kind memmodel.Kind, ord memmodel.MemOrder, loc *location, v memmodel.Value) *memmodel.Action {
+// the action performs. ord is plain; site is the site it came from.
+func (s *System) record(t *Thread, kind memmodel.Kind, ord memmodel.MemOrder, site memmodel.SiteID, loc *location, v memmodel.Value) *memmodel.Action {
 	if s.cfg.rfSeen != nil && t.canon == 0 {
 		// First action of this thread: assign its canonical id (symmetry-
 		// class members draw slots in first-action order).
 		s.assignCanon(t)
 	}
 	if s.cfg.FastMode {
-		return s.recordFast(t, kind, ord, loc, v)
+		return s.recordFast(t, kind, ord, site, loc, v)
 	}
 	act := s.pool.getAction()
-	// Full overwrite: pooled actions carry the previous execution's
-	// values in every field.
-	*act = memmodel.Action{
-		ID:      len(s.actions),
-		Thread:  t.id,
-		TSeq:    t.tseq,
-		Kind:    kind,
-		Order:   ord,
-		LocID:   -1,
-		SCIndex: -1,
-		Value:   v,
-	}
-	if loc != nil {
-		act.LocID = loc.id
-		act.LocName = loc.name
-	}
+	fillAction(act, len(s.actions), t, kind, ord, site, loc, v)
 	act.Clock = s.snap(t.clock)
 	s.actions = append(s.actions, act)
 	t.lastAction = act
 	return act
+}
+
+// fillAction writes every field of a recycled action but Clock, one by
+// one: pooled actions carry an earlier action's values in every field,
+// and assigning a composite literal would build it on the stack and copy
+// all of it.
+func fillAction(act *memmodel.Action, id int, t *Thread, kind memmodel.Kind, ord memmodel.MemOrder, site memmodel.SiteID, loc *location, v memmodel.Value) {
+	act.ID = id
+	act.Thread = t.id
+	act.TSeq = t.tseq
+	act.Kind = kind
+	act.Site = site
+	act.Order = ord
+	if loc != nil {
+		act.LocID = loc.id
+		act.LocName = loc.name
+	} else {
+		act.LocID = -1
+		act.LocName = ""
+	}
+	act.Value = v
+	act.RF = nil
+	act.MOIndex = 0
+	act.SCIndex = -1
 }
 
 // recordFast is record() without trace retention: only actions that end
@@ -381,7 +390,7 @@ func (s *System) record(t *Thread, kind memmodel.Kind, ord memmodel.MemOrder, lo
 // free list the evictor feeds — and everything else reuses one scratch
 // action. No per-action clock snapshot is taken: fast-mode race checks
 // use the per-location seq vectors, not action clocks.
-func (s *System) recordFast(t *Thread, kind memmodel.Kind, ord memmodel.MemOrder, loc *location, v memmodel.Value) *memmodel.Action {
+func (s *System) recordFast(t *Thread, kind memmodel.Kind, ord memmodel.MemOrder, site memmodel.SiteID, loc *location, v memmodel.Value) *memmodel.Action {
 	var act *memmodel.Action
 	switch kind {
 	case memmodel.KindAtomicStore, memmodel.KindAtomicRMW, memmodel.KindPlainStore:
@@ -389,20 +398,8 @@ func (s *System) recordFast(t *Thread, kind memmodel.Kind, ord memmodel.MemOrder
 	default:
 		act = &s.scratchAct
 	}
-	*act = memmodel.Action{
-		ID:      s.actionCount,
-		Thread:  t.id,
-		TSeq:    t.tseq,
-		Kind:    kind,
-		Order:   ord,
-		LocID:   -1,
-		SCIndex: -1,
-		Value:   v,
-	}
-	if loc != nil {
-		act.LocID = loc.id
-		act.LocName = loc.name
-	}
+	fillAction(act, s.actionCount, t, kind, ord, site, loc, v)
+	act.Clock = nil
 	s.lastActID = s.actionCount
 	s.actionCount++
 	t.lastAction = act
@@ -762,7 +759,7 @@ func (s *System) checkMixed(t *Thread, loc *location, seqs []uint32, kind memmod
 		if seq != 0 && tid != t.id && rules.races(t, tid, seq) {
 			t.tseq++
 			t.clock.Set(t.id, t.tseq)
-			s.record(t, kind, memmodel.Relaxed, loc, 0)
+			s.record(t, kind, memmodel.Relaxed, 0, loc, 0)
 			s.failf(FailMixedRace, "mixed atomic/non-atomic race on %s: T%d %s races with T%d %s",
 				loc.name, t.id, what, tid, other)
 		}
@@ -779,7 +776,7 @@ func (s *System) checkPublished(t *Thread, loc *location, published bool, what s
 	}
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
-	s.record(t, memmodel.KindAtomicLoad, memmodel.Relaxed, loc, 0)
+	s.record(t, memmodel.KindAtomicLoad, memmodel.Relaxed, 0, loc, 0)
 	s.failf(FailUninitLoad, "%s of %s: no initializing store happens-before the access (reads unpublished memory)", what, loc.name)
 }
 
@@ -863,7 +860,7 @@ func (s *System) assignSCIndex(act *memmodel.Action, ord memmodel.MemOrder) {
 // frozen-prefix replay the candidate set is pinned by the chooser and the
 // lifetime/visibility checks are skipped — they passed when the prefix
 // was first executed, and replay re-creates the identical state.
-func (s *System) doLoad(t *Thread, loc *location, ord memmodel.MemOrder) memmodel.Value {
+func (s *System) doLoad(t *Thread, loc *location, ord memmodel.MemOrder, site memmodel.SiteID) memmodel.Value {
 	s.bumpStep()
 	// Resolve the armed spin re-read bound up front, identically on the
 	// fresh and the replayed path: replay must evolve the spin state the
@@ -888,7 +885,7 @@ func (s *System) doLoad(t *Thread, loc *location, ord memmodel.MemOrder) memmode
 		if loc.moNext() == 0 {
 			t.tseq++
 			t.clock.Set(t.id, t.tseq)
-			s.record(t, memmodel.KindAtomicLoad, ord, loc, 0)
+			s.record(t, memmodel.KindAtomicLoad, ord, site, loc, 0)
 			s.failf(FailUninitLoad, "atomic load of %s before any store", loc.name)
 		}
 		var published bool
@@ -921,7 +918,7 @@ func (s *System) doLoad(t *Thread, loc *location, ord memmodel.MemOrder) memmode
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
 	s.rules().readSync(s, t, ord, st)
-	act := s.record(t, memmodel.KindAtomicLoad, ord, loc, st.act.Value)
+	act := s.record(t, memmodel.KindAtomicLoad, ord, site, loc, st.act.Value)
 	act.RF = st.act
 	s.rules().assignSC(s, act, ord)
 	s.addLoad(t, loc, idx)
@@ -949,7 +946,7 @@ const fastRecentReadsCap = 64
 
 // doStore implements an atomic store. rfSync is non-nil only when called
 // from doRMW (release-sequence continuation).
-func (s *System) doStore(t *Thread, loc *location, ord memmodel.MemOrder, v memmodel.Value, rfSync *memmodel.ClockVector) *memmodel.Action {
+func (s *System) doStore(t *Thread, loc *location, ord memmodel.MemOrder, site memmodel.SiteID, v memmodel.Value, rfSync *memmodel.ClockVector) *memmodel.Action {
 	s.bumpStep()
 	t.spinClear()
 	s.checkLifetime(t, loc, "atomic store")
@@ -958,7 +955,7 @@ func (s *System) doStore(t *Thread, loc *location, ord memmodel.MemOrder, v memm
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
 	sync := s.rules().storeSync(s, t, ord, rfSync)
-	act := s.record(t, memmodel.KindAtomicStore, ord, loc, v)
+	act := s.record(t, memmodel.KindAtomicStore, ord, site, loc, v)
 	moIdx := loc.moNext()
 	act.MOIndex = moIdx
 	loc.stores = append(loc.stores, storeRec{act: act, sync: sync})
@@ -978,7 +975,7 @@ func (s *System) doStore(t *Thread, loc *location, ord memmodel.MemOrder, v memm
 
 // doRMW implements an atomic read-modify-write. Per C/C++11 atomicity the
 // read half observes the mo-latest store; the write half is mo-adjacent.
-func (s *System) doRMW(t *Thread, loc *location, ord memmodel.MemOrder, f func(memmodel.Value) memmodel.Value) memmodel.Value {
+func (s *System) doRMW(t *Thread, loc *location, ord memmodel.MemOrder, site memmodel.SiteID, f func(memmodel.Value) memmodel.Value) memmodel.Value {
 	s.bumpStep()
 	t.spinClear()
 	if rec, ok := s.chooser.pinnedFloor(); ok {
@@ -995,7 +992,7 @@ func (s *System) doRMW(t *Thread, loc *location, ord memmodel.MemOrder, f func(m
 		if loc.moNext() == 0 {
 			t.tseq++
 			t.clock.Set(t.id, t.tseq)
-			s.record(t, memmodel.KindAtomicRMW, ord, loc, 0)
+			s.record(t, memmodel.KindAtomicRMW, ord, site, loc, 0)
 			s.failf(FailUninitLoad, "atomic RMW of %s before any store", loc.name)
 		}
 		_, published := s.rules().loadFloor(s, t, loc, ord)
@@ -1013,7 +1010,7 @@ func (s *System) doRMW(t *Thread, loc *location, ord memmodel.MemOrder, f func(m
 	setSeq(&loc.readSeq, t.id, t.tseq)
 
 	sync := s.rules().storeSync(s, t, ord, last.sync)
-	act := s.record(t, memmodel.KindAtomicRMW, ord, loc, f(old))
+	act := s.record(t, memmodel.KindAtomicRMW, ord, site, loc, f(old))
 	act.RF = last.act
 	moIdx := loc.moNext()
 	act.MOIndex = moIdx
@@ -1040,7 +1037,7 @@ func (s *System) doRMW(t *Thread, loc *location, ord memmodel.MemOrder, f func(m
 // Failure alternatives are counted, not materialized: the chosen one is
 // resolved by rank afterwards (and the resolution memoized on the pinned
 // record, so replays of the same branch skip even that scan).
-func (s *System) doCAS(t *Thread, loc *location, expected, desired memmodel.Value, succOrd, failOrd memmodel.MemOrder) (memmodel.Value, bool) {
+func (s *System) doCAS(t *Thread, loc *location, expected, desired memmodel.Value, succOrd memmodel.MemOrder, succSite memmodel.SiteID, failOrd memmodel.MemOrder, failSite memmodel.SiteID) (memmodel.Value, bool) {
 	s.bumpStep()
 	var rec *floorRec
 	if r, ok := s.chooser.pinnedFloor(); ok {
@@ -1057,7 +1054,7 @@ func (s *System) doCAS(t *Thread, loc *location, expected, desired memmodel.Valu
 		if loc.moNext() == 0 {
 			t.tseq++
 			t.clock.Set(t.id, t.tseq)
-			s.record(t, memmodel.KindAtomicRMW, succOrd, loc, 0)
+			s.record(t, memmodel.KindAtomicRMW, succOrd, succSite, loc, 0)
 			s.failf(FailUninitLoad, "CAS of %s before any store", loc.name)
 		}
 		canSucceed := loc.store(loc.lastStoreIdx()).act.Value == expected
@@ -1102,7 +1099,7 @@ func (s *System) doCAS(t *Thread, loc *location, expected, desired memmodel.Valu
 		s.addLoad(t, loc, lastIdx)
 		setSeq(&loc.readSeq, t.id, t.tseq)
 		sync := s.rules().storeSync(s, t, succOrd, last.sync)
-		act := s.record(t, memmodel.KindAtomicRMW, succOrd, loc, desired)
+		act := s.record(t, memmodel.KindAtomicRMW, succOrd, succSite, loc, desired)
 		act.RF = last.act
 		moIdx := loc.moNext()
 		act.MOIndex = moIdx
@@ -1148,7 +1145,7 @@ func (s *System) doCAS(t *Thread, loc *location, expected, desired memmodel.Valu
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
 	s.rules().readSync(s, t, failOrd, st)
-	act := s.record(t, memmodel.KindAtomicLoad, failOrd, loc, st.act.Value)
+	act := s.record(t, memmodel.KindAtomicLoad, failOrd, failSite, loc, st.act.Value)
 	act.RF = st.act
 	s.rules().assignSC(s, act, failOrd)
 	s.addLoad(t, loc, idx)
@@ -1180,7 +1177,7 @@ func (s *System) validateCASPin(t *Thread, loc *location, expected memmodel.Valu
 }
 
 // doFence implements a stand-alone fence.
-func (s *System) doFence(t *Thread, ord memmodel.MemOrder) {
+func (s *System) doFence(t *Thread, ord memmodel.MemOrder, site memmodel.SiteID) {
 	s.bumpStep()
 	t.spinClear()
 	t.tseq++
@@ -1198,7 +1195,7 @@ func (s *System) doFence(t *Thread, ord memmodel.MemOrder) {
 		}
 		t.relFence = s.snap(t.clock)
 	}
-	act := s.record(t, memmodel.KindFence, ord, nil, 0)
+	act := s.record(t, memmodel.KindFence, ord, site, nil, 0)
 	s.rules().assignSC(s, act, ord)
 	s.fpThreadOp(t, fpOpFence, nil, uint64(ord), 0)
 	s.sleep.wake(pendSig{class: sigFence, loc: -1, sc: ord.IsSeqCst()})
@@ -1231,7 +1228,7 @@ func (s *System) doPlainLoad(t *Thread, loc *location) memmodel.Value {
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
 	if loc.moNext() == 0 {
-		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, 0)
+		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, 0)
 		s.failf(FailUninitLoad, "load of plain location %s before any store", loc.name)
 	}
 	if s.cfg.FastMode {
@@ -1243,17 +1240,17 @@ func (s *System) doPlainLoad(t *Thread, loc *location) memmodel.Value {
 		if t.clock.Contains(st.act.Thread, st.act.TSeq) {
 			best = loc.moBase + i
 		} else if st.act.Thread != t.id {
-			s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, 0)
+			s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, 0)
 			s.failf(FailDataRace, "data race on %s: T%d load races with T%d store (#%d)",
 				loc.name, t.id, st.act.Thread, st.act.ID)
 		}
 	}
 	if best < 0 {
-		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, 0)
+		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, 0)
 		s.failf(FailUninitLoad, "load of plain location %s sees no ordered store", loc.name)
 	}
 	st := *loc.store(best)
-	act := s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, st.act.Value)
+	act := s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, st.act.Value)
 	act.RF = st.act
 	s.addLoad(t, loc, best)
 	setSeq(&loc.readSeq, t.id, t.tseq)
@@ -1268,7 +1265,7 @@ func (s *System) doPlainLoad(t *Thread, loc *location) memmodel.Value {
 func (s *System) fastPlainLoad(t *Thread, loc *location) memmodel.Value {
 	for tid, seq := range loc.writeSeq {
 		if seq != 0 && tid != t.id && !t.clock.Contains(tid, seq) {
-			s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, 0)
+			s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, 0)
 			s.failf(FailDataRace, "data race on %s: T%d load races with T%d store",
 				loc.name, t.id, tid)
 		}
@@ -1282,10 +1279,10 @@ func (s *System) fastPlainLoad(t *Thread, loc *location) memmodel.Value {
 		v = loc.evictedVal
 		best = loc.moBase - 1
 	default:
-		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, 0)
+		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, 0)
 		s.failf(FailUninitLoad, "load of plain location %s sees no ordered store", loc.name)
 	}
-	s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, v)
+	s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, v)
 	setSeq(&loc.readSeq, t.id, t.tseq)
 	s.noteRecentRead(t, loc, best)
 	return v
@@ -1302,14 +1299,14 @@ func (s *System) doPlainStore(t *Thread, loc *location, v memmodel.Value) {
 		// Exact vector checks instead of the store/load record scans.
 		for tid, seq := range loc.writeSeq {
 			if seq != 0 && tid != t.id && !t.clock.Contains(tid, seq) {
-				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, loc, v)
+				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, 0, loc, v)
 				s.failf(FailDataRace, "data race on %s: T%d store races with T%d store",
 					loc.name, t.id, tid)
 			}
 		}
 		for tid, seq := range loc.readSeq {
 			if seq != 0 && tid != t.id && !t.clock.Contains(tid, seq) {
-				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, loc, v)
+				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, 0, loc, v)
 				s.failf(FailDataRace, "data race on %s: T%d store races with T%d load",
 					loc.name, t.id, tid)
 			}
@@ -1317,20 +1314,20 @@ func (s *System) doPlainStore(t *Thread, loc *location, v memmodel.Value) {
 	} else {
 		for _, st := range loc.stores {
 			if st.act.Thread != t.id && !t.clock.Contains(st.act.Thread, st.act.TSeq) {
-				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, loc, v)
+				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, 0, loc, v)
 				s.failf(FailDataRace, "data race on %s: T%d store races with T%d store (#%d)",
 					loc.name, t.id, st.act.Thread, st.act.ID)
 			}
 		}
 		for _, lr := range loc.loads {
 			if lr.tid != t.id && !t.clock.Contains(lr.tid, lr.tseq) {
-				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, loc, v)
+				s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, 0, loc, v)
 				s.failf(FailDataRace, "data race on %s: T%d store races with T%d load",
 					loc.name, t.id, lr.tid)
 			}
 		}
 	}
-	act := s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, loc, v)
+	act := s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, 0, loc, v)
 	moIdx := loc.moNext()
 	act.MOIndex = moIdx
 	loc.stores = append(loc.stores, storeRec{act: act})
@@ -1355,7 +1352,7 @@ func (s *System) doRawLoad(t *Thread, loc *location) memmodel.Value {
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
 	if loc.moNext() == 0 {
-		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, 0)
+		s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, 0)
 		s.failf(FailUninitLoad, "non-atomic load of atomic %s before any store", loc.name)
 	}
 	s.checkMixed(t, loc, loc.writeSeq, memmodel.KindPlainLoad, "non-atomic load", "atomic store")
@@ -1364,7 +1361,7 @@ func (s *System) doRawLoad(t *Thread, loc *location) memmodel.Value {
 	// newest one is the unique coherent value.
 	idx := loc.lastStoreIdx()
 	st := *loc.store(idx)
-	act := s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, loc, st.act.Value)
+	act := s.record(t, memmodel.KindPlainLoad, memmodel.Relaxed, 0, loc, st.act.Value)
 	act.RF = st.act
 	s.addLoad(t, loc, idx)
 	setSeq(&loc.rawReadSeq, t.id, t.tseq)
@@ -1385,7 +1382,7 @@ func (s *System) doRawStore(t *Thread, loc *location, v memmodel.Value) {
 	s.checkMixed(t, loc, loc.readSeq, memmodel.KindPlainStore, "non-atomic store", "atomic load")
 	s.checkMixed(t, loc, loc.rawWriteSeq, memmodel.KindPlainStore, "non-atomic store", "non-atomic store")
 	s.checkMixed(t, loc, loc.rawReadSeq, memmodel.KindPlainStore, "non-atomic store", "non-atomic load")
-	act := s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, loc, v)
+	act := s.record(t, memmodel.KindPlainStore, memmodel.Relaxed, 0, loc, v)
 	moIdx := loc.moNext()
 	act.MOIndex = moIdx
 	loc.stores = append(loc.stores, storeRec{act: act})

@@ -248,7 +248,7 @@ func (t *Thread) Spawn(name string, fn func(*Thread)) *Thread {
 	t.sys.stepCount++
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
-	t.sys.record(t, memmodel.KindThreadCreate, memmodel.Relaxed, nil, 0)
+	t.sys.record(t, memmodel.KindThreadCreate, memmodel.Relaxed, 0, nil, 0)
 	child := t.sys.newThread(name, fn, t.clock)
 	if t.sys.cfg.Reduce.Symmetry {
 		t.sys.registerSymmetry(child, fn)
@@ -281,7 +281,7 @@ func (t *Thread) Join(child *Thread) {
 	if t.clock.Merge(child.finishClock) {
 		t.clockEpoch++
 	}
-	t.sys.record(t, memmodel.KindThreadJoin, memmodel.Relaxed, nil, 0)
+	t.sys.record(t, memmodel.KindThreadJoin, memmodel.Relaxed, 0, nil, 0)
 	t.sys.fpThreadOp(t, fpOpJoin, nil, t.sys.canonOf(child.id), 0)
 	t.spinClear()
 }
@@ -294,7 +294,7 @@ func (t *Thread) Yield() {
 	t.sys.stepCount++
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
-	t.sys.record(t, memmodel.KindYield, memmodel.Relaxed, nil, 0)
+	t.sys.record(t, memmodel.KindYield, memmodel.Relaxed, 0, nil, 0)
 	t.sys.fpThreadOp(t, fpOpYield, nil, 0, 0)
 	t.yieldEpoch = t.sys.storeEpoch
 	// Freeze the completed iteration's purity verdict and arm the
@@ -415,7 +415,7 @@ func (t *Thread) run() {
 
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
-	t.sys.record(t, memmodel.KindThreadStart, memmodel.Relaxed, nil, 0)
+	t.sys.record(t, memmodel.KindThreadStart, memmodel.Relaxed, 0, nil, 0)
 
 	// The start grant also covers the thread's first visible operation.
 	t.skipNextPark = true
@@ -424,5 +424,5 @@ func (t *Thread) run() {
 
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
-	t.sys.record(t, memmodel.KindThreadFinish, memmodel.Relaxed, nil, 0)
+	t.sys.record(t, memmodel.KindThreadFinish, memmodel.Relaxed, 0, nil, 0)
 }

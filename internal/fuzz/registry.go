@@ -196,14 +196,28 @@ func (t *Target) Render(p *Program, ord *memmodel.OrderTable) (func(*checker.Thr
 		ord = t.Orders()
 	}
 	reg := t.Registry
+	// Thread names and ops are resolved here, once per program, rather
+	// than in every execution the closure runs.
+	type call struct {
+		apply func(inst any, t *checker.Thread, args []memmodel.Value)
+		args  []memmodel.Value
+	}
+	names := make([]string, len(p.Threads))
+	calls := make([][]call, len(p.Threads))
+	for i, ts := range p.Threads {
+		names[i] = fmt.Sprintf("t%d", i)
+		calls[i] = make([]call, len(ts.Ops))
+		for j, oc := range ts.Ops {
+			calls[i][j] = call{reg.Op(oc.Op).Apply, oc.Args}
+		}
+	}
 	return func(root *checker.Thread) {
 		inst := reg.New(root, ord)
-		kids := make([]*checker.Thread, len(p.Threads))
-		for i, ts := range p.Threads {
-			ts := ts
-			kids[i] = root.Spawn(fmt.Sprintf("t%d", i), func(tt *checker.Thread) {
-				for _, oc := range ts.Ops {
-					reg.Op(oc.Op).Apply(inst, tt, oc.Args)
+		kids := make([]*checker.Thread, len(calls))
+		for i, cs := range calls {
+			kids[i] = root.Spawn(names[i], func(tt *checker.Thread) {
+				for _, c := range cs {
+					c.apply(inst, tt, c.args)
 				}
 			})
 		}

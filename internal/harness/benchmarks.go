@@ -314,6 +314,35 @@ func MSQueue3x3(ord *memmodel.OrderTable) func(*checker.Thread) {
 	}
 }
 
+// MPMCRing builds a production-sized workload: perThread operations by
+// each of two producers and two consumers against one bounded ring of the
+// given capacity. The MPMC queue reuses a fixed set of locations (slots
+// and two tickets), so live state stays bounded however many operations
+// flow through, which is the workload fast mode's store-buffer bound
+// exists for.
+func MPMCRing(perThread, capacity int) func(*checker.Thread) {
+	return func(root *checker.Thread) {
+		q := mpmc.New(root, "q", nil, capacity)
+		worker := func(name string, enq bool) *checker.Thread {
+			return root.Spawn(name, func(tt *checker.Thread) {
+				for i := 0; i < perThread; i++ {
+					if enq {
+						q.Enq(tt, memmodel.Value(i+1))
+					} else {
+						q.Deq(tt)
+					}
+				}
+			})
+		}
+		p1, p2 := worker("p1", true), worker("p2", true)
+		c1, c2 := worker("c1", false), worker("c2", false)
+		root.Join(p1)
+		root.Join(p2)
+		root.Join(c1)
+		root.Join(c2)
+	}
+}
+
 func linuxrwlockBenchmark() *Benchmark {
 	return &Benchmark{
 		Name:   "Linux RW Lock",

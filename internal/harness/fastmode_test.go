@@ -4,39 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/checker"
-	"repro/internal/memmodel"
 	"repro/internal/structures/chaselev"
-	"repro/internal/structures/mpmc"
 	"repro/internal/structures/msqueue"
 )
-
-// scaledMPMCProg builds a production-sized workload: perThread
-// operations by each of two producers and two consumers against one
-// bounded ring. The MPMC queue reuses a fixed set of locations (slots and
-// two tickets), so live state stays bounded however many operations flow
-// through, which is the workload the store-buffer bound exists for.
-func scaledMPMCProg(perThread, capacity int) func(*checker.Thread) {
-	return func(root *checker.Thread) {
-		q := mpmc.New(root, "q", nil, capacity)
-		worker := func(name string, enq bool) *checker.Thread {
-			return root.Spawn(name, func(tt *checker.Thread) {
-				for i := 0; i < perThread; i++ {
-					if enq {
-						q.Enq(tt, memmodel.Value(i+1))
-					} else {
-						q.Deq(tt)
-					}
-				}
-			})
-		}
-		p1, p2 := worker("p1", true), worker("p2", true)
-		c1, c2 := worker("c1", false), worker("c2", false)
-		root.Join(p1)
-		root.Join(p2)
-		root.Join(c1)
-		root.Join(c2)
-	}
-}
 
 // TestFastBenchSmoke is the fast-mode gate over the paper benchmarks,
 // with fixed seeds:
@@ -80,7 +50,7 @@ func TestFastBenchSmoke(t *testing.T) {
 	// blown bound prunes the run, which the feasibility check catches.
 	const perThread = 25000
 	res := checker.Explore(checker.Config{FastMode: true, MaxExecutions: 1, Seed: 1, MaxSteps: 100 * 4 * perThread},
-		scaledMPMCProg(perThread, 64))
+		MPMCRing(perThread, 64))
 	if res.Executions != 1 || res.Feasible != 1 || res.FailureCount != 0 {
 		t.Errorf("MPMC ring 4×%d ops: %d runs, %d feasible, %d failures (first: %v); want one clean feasible run",
 			perThread, res.Executions, res.Feasible, res.FailureCount, res.FirstFailure())
@@ -127,7 +97,7 @@ func TestFastModePinnedResults(t *testing.T) {
 	const perThread = 2000
 	checks = append(checks, check{"MPMC ring",
 		checker.Config{FastMode: true, MaxExecutions: 2, Seed: 1, MaxSteps: 100 * 4 * perThread},
-		scaledMPMCProg(perThread, 64)})
+		MPMCRing(perThread, 64)})
 
 	want := map[string]fastPin{
 		"Chase-Lev Deque":    {200, 200, 0, 0, 4863, 91, 1701, 0},

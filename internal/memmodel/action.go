@@ -99,7 +99,12 @@ type Action struct {
 	TSeq uint32
 	// Kind classifies the action.
 	Kind Kind
-	// Order is the memory order for atomic actions and fences.
+	// Site is the memory-order site that issued the action's order: its
+	// index in the structure's SiteList, or 0, the anonymous site, for a
+	// bare order (litmus tests, init stores, CAS failure orders) and for
+	// every non-atomic, lock and thread action.
+	Site SiteID
+	// Order is the plain memory order for atomic actions and fences.
 	Order MemOrder
 	// LocID identifies the memory location (-1 for fences/thread ops).
 	LocID int

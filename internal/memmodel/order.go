@@ -10,8 +10,19 @@ package memmodel
 
 import "fmt"
 
-// MemOrder is a C/C++11 memory order (std::memory_order).
-type MemOrder uint8
+// MemOrder is a C/C++11 memory order (std::memory_order). The value a
+// structure reads from its order table (OrderTable.Order) also carries
+// the site it came from, in the byte above the order; Split takes the
+// two apart. The constants below carry the anonymous site 0: a bare
+// order is a plain order. The predicates read the order alone, but ==
+// compares the site too, so compare plain orders.
+type MemOrder uint16
+
+// orderMask selects the plain order; the byte above it holds a SiteID.
+const (
+	orderMask MemOrder = 0xff
+	siteShift          = 8
+)
 
 const (
 	// Relaxed is memory_order_relaxed: atomicity only, no ordering.
@@ -29,8 +40,19 @@ const (
 	SeqCst
 )
 
-// String returns the C++11 spelling of the order.
+// tagged returns o, which must be plain, carrying site id.
+func (o MemOrder) tagged(id SiteID) MemOrder { return o | MemOrder(id)<<siteShift }
+
+// Split returns the plain order and the site o came from (0 for a bare
+// order).
+func (o MemOrder) Split() (MemOrder, SiteID) { return o & orderMask, SiteID(o >> siteShift) }
+
+// String returns the C++11 spelling of the order, followed by "@" and
+// the site index when o carries a site.
 func (o MemOrder) String() string {
+	if plain, id := o.Split(); id != 0 {
+		return fmt.Sprintf("%s@%d", plain, id)
+	}
 	switch o {
 	case Relaxed:
 		return "relaxed"
@@ -45,14 +67,14 @@ func (o MemOrder) String() string {
 	case SeqCst:
 		return "seq_cst"
 	default:
-		return fmt.Sprintf("MemOrder(%d)", uint8(o))
+		return fmt.Sprintf("MemOrder(%d)", uint16(o))
 	}
 }
 
 // IsAcquire reports whether a load (or the load half of an RMW, or a
 // fence) with this order performs acquire synchronization.
 func (o MemOrder) IsAcquire() bool {
-	switch o {
+	switch o & orderMask {
 	case Acquire, Consume, AcqRel, SeqCst:
 		return true
 	}
@@ -62,7 +84,7 @@ func (o MemOrder) IsAcquire() bool {
 // IsRelease reports whether a store (or the store half of an RMW, or a
 // fence) with this order performs release synchronization.
 func (o MemOrder) IsRelease() bool {
-	switch o {
+	switch o & orderMask {
 	case Release, AcqRel, SeqCst:
 		return true
 	}
@@ -71,7 +93,7 @@ func (o MemOrder) IsRelease() bool {
 
 // IsSeqCst reports whether the order participates in the single total
 // order S of seq_cst operations.
-func (o MemOrder) IsSeqCst() bool { return o == SeqCst }
+func (o MemOrder) IsSeqCst() bool { return o&orderMask == SeqCst }
 
 // OpClass describes what an atomic operation does to memory, for the
 // purpose of computing the next-weaker memory order during bug injection.
@@ -111,7 +133,7 @@ func (c OpClass) String() string {
 // for the class (no further weakening possible).
 //
 // Loads skip orders that are meaningless for them (a load cannot be
-// release), and symmetrically for stores.
+// release), and symmetrically for stores. o must be plain.
 func Weaken(c OpClass, o MemOrder) (MemOrder, bool) {
 	switch c {
 	case OpLoad:

@@ -27,17 +27,29 @@ const (
 	SiteDeqCASHead   = "deq_cas_head"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteEnqLoadTail memmodel.SiteID = iota + 1
+	siteEnqCASNext
+	siteEnqStoreTail
+	siteDeqLoadHead
+	siteDeqLoadNext
+	siteDeqCASHead
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("blockingqueue", []memmodel.Site{
+	siteEnqLoadTail:  {Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqCASNext:   {Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteEnqStoreTail: {Name: SiteEnqStoreTail, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteDeqLoadHead:  {Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqLoadNext:  {Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqCASHead:   {Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
+})
+
 // DefaultOrders returns the memory orders of Figure 2.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqStoreTail, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // node is a queue node; nodes are identified by 1-based handles, 0 is
 // NULL. The data field is a plain (race-detected) location, as in the
@@ -63,15 +75,12 @@ type Queue struct {
 // New builds a queue with a dummy head node, as the Figure 2 constructor
 // does. The instance name prefixes its method names in the spec.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	q := &Queue{
 		enqName:  name + ".enq",
 		deqName:  name + ".deq",
 		nextName: name + ".next",
 		dataName: name + ".data",
-		ord:      ord,
+		ord:      sites.Resolve(ord),
 		mon:      core.Of(t),
 	}
 	q.nodes = append(q.nodes, nil) // handle 0 = NULL
@@ -101,10 +110,10 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 	c := q.mon.Begin(t, q.enqName, val)
 	n := q.newNode(t, val)
 	for {
-		tl := q.tail.Load(t, q.ord.Get(SiteEnqLoadTail))
-		if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord.Get(SiteEnqCASNext), memmodel.Relaxed); ok {
+		tl := q.tail.Load(t, q.ord.Order(siteEnqLoadTail))
+		if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord.Order(siteEnqCASNext), memmodel.Relaxed); ok {
 			c.OPDefine(t, true) // @OPDefine: true (the successful CAS)
-			q.tail.Store(t, q.ord.Get(SiteEnqStoreTail), n)
+			q.tail.Store(t, q.ord.Order(siteEnqStoreTail), n)
 			c.EndVoid(t)
 			return
 		}
@@ -117,14 +126,14 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
 	c := q.mon.Begin(t, q.deqName)
 	for {
-		h := q.head.Load(t, q.ord.Get(SiteDeqLoadHead))
-		n := q.node(h).next.Load(t, q.ord.Get(SiteDeqLoadNext))
+		h := q.head.Load(t, q.ord.Order(siteDeqLoadHead))
+		n := q.node(h).next.Load(t, q.ord.Order(siteDeqLoadNext))
 		c.OPClearDefine(t, true) // @OPClearDefine: the last iteration's load
 		if n == 0 {
 			c.End(t, Empty)
 			return Empty
 		}
-		if _, ok := q.head.CAS(t, h, n, q.ord.Get(SiteDeqCASHead), memmodel.Relaxed); ok {
+		if _, ok := q.head.CAS(t, h, n, q.ord.Order(siteDeqCASHead), memmodel.Relaxed); ok {
 			v := q.node(n).data.Load(t)
 			c.End(t, v)
 			return v

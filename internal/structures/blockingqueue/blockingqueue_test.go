@@ -236,11 +236,8 @@ func TestInjectionsDetected(t *testing.T) {
 
 func describeInjection(t *testing.T, weak *memmodel.OrderTable) (desc, site string) {
 	t.Helper()
-	def := DefaultOrders()
-	for _, s := range def.Sites() {
-		if weak.Get(s.Name) != s.Default {
-			return s.Name + "->" + weak.Get(s.Name).String(), s.Name
-		}
+	if c := weak.Changes(); len(c) > 0 {
+		return c[0].Name + "->" + c[0].Order.String(), c[0].Name
 	}
 	t.Fatal("no weakened site found")
 	return "", ""

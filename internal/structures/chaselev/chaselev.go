@@ -40,21 +40,37 @@ const (
 	SiteStealCASTop  = "steal_cas_top"
 )
 
+// Site handles: each site's index in sites.
+const (
+	sitePushLoadTop memmodel.SiteID = iota + 1
+	sitePushPublish
+	sitePushFence
+	siteTakeFence
+	siteTakeCASTop
+	siteStealLoadTop
+	siteStealFence
+	siteStealLoadBot
+	siteStealLoadArr
+	siteStealCASTop
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("chaselev", []memmodel.Site{
+	sitePushLoadTop:  {Name: SitePushLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	sitePushPublish:  {Name: SitePushPublish, Class: memmodel.OpStore, Default: memmodel.Release},
+	sitePushFence:    {Name: SitePushFence, Class: memmodel.OpFence, Default: memmodel.Release},
+	siteTakeFence:    {Name: SiteTakeFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteTakeCASTop:   {Name: SiteTakeCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
+	siteStealLoadTop: {Name: SiteStealLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStealFence:   {Name: SiteStealFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteStealLoadBot: {Name: SiteStealLoadBot, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStealLoadArr: {Name: SiteStealLoadArr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStealCASTop:  {Name: SiteStealCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
+})
+
 // DefaultOrders returns the bug-fixed orders of [34].
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SitePushLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SitePushPublish, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SitePushFence, Class: memmodel.OpFence, Default: memmodel.Release},
-		memmodel.Site{Name: SiteTakeFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteTakeCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteStealLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStealFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteStealLoadBot, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStealLoadArr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStealCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // KnownBugOrders reproduces the published bug CDSChecker found (§6.4.1):
 // the resize publication is relaxed, so a racing steal can reach buffer
@@ -109,15 +125,12 @@ func WithInitializedCells() Option {
 
 // New builds a deque with the given initial capacity.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int, opts ...Option) *Deque {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	d := &Deque{
 		pushName:  name + ".push",
 		takeName:  name + ".take",
 		stealName: name + ".steal",
 		cellName:  name + ".cell",
-		ord:       ord,
+		ord:       sites.Resolve(ord),
 		mon:       core.Of(t),
 	}
 	for _, o := range opts {
@@ -153,18 +166,18 @@ func (d *Deque) newArray(t *checker.Thread, size int, old *array, top, bottom me
 func (d *Deque) Push(t *checker.Thread, x memmodel.Value) {
 	c := d.mon.Begin(t, d.pushName, x)
 	b := d.bottom.Load(t, memmodel.Relaxed)
-	top := d.top.Load(t, d.ord.Get(SitePushLoadTop))
+	top := d.top.Load(t, d.ord.Order(sitePushLoadTop))
 	ai := d.arr.Load(t, memmodel.Relaxed)
 	a := d.arrays[ai]
 	if int(b-top) > a.size-1 {
 		// Full: grow and publish the new buffer.
 		ai = d.newArray(t, a.size*2, a, top, b)
 		a = d.arrays[ai]
-		d.arr.Store(t, d.ord.Get(SitePushPublish), ai)
+		d.arr.Store(t, d.ord.Order(sitePushPublish), ai)
 	}
 	a.cells[int(b)%a.size].Store(t, memmodel.Relaxed, x)
 	c.OPDefine(t, true) // the cell store (per §6.1)
-	checker.Fence(t, d.ord.Get(SitePushFence))
+	checker.Fence(t, d.ord.Order(sitePushFence))
 	d.bottom.Store(t, memmodel.Relaxed, b+1)
 	c.EndVoid(t)
 }
@@ -176,14 +189,14 @@ func (d *Deque) Take(t *checker.Thread) memmodel.Value {
 	ai := d.arr.Load(t, memmodel.Relaxed)
 	a := d.arrays[ai]
 	d.bottom.Store(t, memmodel.Relaxed, b)
-	checker.Fence(t, d.ord.Get(SiteTakeFence))
+	checker.Fence(t, d.ord.Order(siteTakeFence))
 	top := d.top.Load(t, memmodel.Relaxed)
 	var x memmodel.Value
 	if int64(top) <= int64(b) {
 		x = a.cells[int(b)%a.size].Load(t, memmodel.Relaxed)
 		if top == b {
 			// Last element: race the thieves.
-			if _, ok := d.top.CAS(t, top, top+1, d.ord.Get(SiteTakeCASTop), memmodel.Relaxed); !ok {
+			if _, ok := d.top.CAS(t, top, top+1, d.ord.Order(siteTakeCASTop), memmodel.Relaxed); !ok {
 				x = Empty
 			}
 			d.bottom.Store(t, memmodel.Relaxed, b+1)
@@ -200,15 +213,15 @@ func (d *Deque) Take(t *checker.Thread) memmodel.Value {
 // Steal removes and returns the top element (any thread), or Empty.
 func (d *Deque) Steal(t *checker.Thread) memmodel.Value {
 	c := d.mon.Begin(t, d.stealName)
-	top := d.top.Load(t, d.ord.Get(SiteStealLoadTop))
-	checker.Fence(t, d.ord.Get(SiteStealFence))
-	b := d.bottom.Load(t, d.ord.Get(SiteStealLoadBot))
+	top := d.top.Load(t, d.ord.Order(siteStealLoadTop))
+	checker.Fence(t, d.ord.Order(siteStealFence))
+	b := d.bottom.Load(t, d.ord.Order(siteStealLoadBot))
 	if int64(top) < int64(b) {
-		ai := d.arr.Load(t, d.ord.Get(SiteStealLoadArr))
+		ai := d.arr.Load(t, d.ord.Order(siteStealLoadArr))
 		a := d.arrays[ai]
 		x := a.cells[int(top)%a.size].Load(t, memmodel.Relaxed)
 		c.OPClearDefine(t, true) // the cell load (per §6.1)
-		if _, ok := d.top.CAS(t, top, top+1, d.ord.Get(SiteStealCASTop), memmodel.Relaxed); !ok {
+		if _, ok := d.top.CAS(t, top, top+1, d.ord.Order(siteStealCASTop), memmodel.Relaxed); !ok {
 			c.End(t, Empty)
 			return Empty
 		}

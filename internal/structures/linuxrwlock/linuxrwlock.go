@@ -37,23 +37,39 @@ const (
 	SiteWriteTryFSub    = "write_trylock_fsub"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteReadLockFSub memmodel.SiteID = iota + 1
+	siteReadUndoFAdd
+	siteReadSpinLoad
+	siteReadUnlockFAdd
+	siteWriteLockFSub
+	siteWriteUndoFAdd
+	siteWriteSpinLoad
+	siteWriteUnlockFAdd
+	siteReadTryFSub
+	siteWriteTryFSub
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("linuxrwlock", []memmodel.Site{
+	siteReadLockFSub:    {Name: SiteReadLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+	siteReadUndoFAdd:    {Name: SiteReadUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteReadSpinLoad:    {Name: SiteReadSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteReadUnlockFAdd:  {Name: SiteReadUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteWriteLockFSub:   {Name: SiteWriteLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+	siteWriteUndoFAdd:   {Name: SiteWriteUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteWriteSpinLoad:   {Name: SiteWriteSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteWriteUnlockFAdd: {Name: SiteWriteUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteReadTryFSub:     {Name: SiteReadTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+	siteWriteTryFSub:    {Name: SiteWriteTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+})
+
 // DefaultOrders returns the correct orders from the CDSChecker benchmark:
 // acquire on the lock-taking RMWs, release on the unlocks, relaxed on the
 // undo adds and the spin reads.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteReadLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteReadUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteReadSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteReadUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteWriteLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteWriteUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteWriteSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteWriteUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteReadTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteWriteTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // RWLock is the simulated Linux reader-writer spinlock.
 type RWLock struct {
@@ -68,9 +84,6 @@ type RWLock struct {
 
 // New builds a free lock (counter at Bias).
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *RWLock {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	return &RWLock{
 		readLockName:     name + ".read_lock",
 		readUnlockName:   name + ".read_unlock",
@@ -78,7 +91,7 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *RWLock {
 		writeUnlockName:  name + ".write_unlock",
 		readTrylockName:  name + ".read_trylock",
 		writeTrylockName: name + ".write_trylock",
-		ord:              ord,
+		ord:              sites.Resolve(ord),
 		mon:              core.Of(t),
 		lock:             t.NewAtomicInit(name+".lock", Bias),
 	}
@@ -88,16 +101,16 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *RWLock {
 func (l *RWLock) ReadLock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.readLockName)
 	for {
-		prior := l.lock.FetchSub(t, l.ord.Get(SiteReadLockFSub), 1)
+		prior := l.lock.FetchSub(t, l.ord.Order(siteReadLockFSub), 1)
 		c.OPClearDefine(t, true) // the successful subtract
 		if int64(prior) > 0 {
 			c.EndVoid(t)
 			return
 		}
 		// Undo and wait for the writer to leave.
-		l.lock.FetchAdd(t, l.ord.Get(SiteReadUndoFAdd), 1)
+		l.lock.FetchAdd(t, l.ord.Order(siteReadUndoFAdd), 1)
 		for {
-			v := l.lock.Load(t, l.ord.Get(SiteReadSpinLoad))
+			v := l.lock.Load(t, l.ord.Order(siteReadSpinLoad))
 			if int64(v) > 0 {
 				break
 			}
@@ -109,7 +122,7 @@ func (l *RWLock) ReadLock(t *checker.Thread) {
 // ReadUnlock releases a read lock.
 func (l *RWLock) ReadUnlock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.readUnlockName)
-	l.lock.FetchAdd(t, l.ord.Get(SiteReadUnlockFAdd), 1)
+	l.lock.FetchAdd(t, l.ord.Order(siteReadUnlockFAdd), 1)
 	c.OPDefine(t, true)
 	c.EndVoid(t)
 }
@@ -118,15 +131,15 @@ func (l *RWLock) ReadUnlock(t *checker.Thread) {
 func (l *RWLock) WriteLock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.writeLockName)
 	for {
-		prior := l.lock.FetchSub(t, l.ord.Get(SiteWriteLockFSub), Bias)
+		prior := l.lock.FetchSub(t, l.ord.Order(siteWriteLockFSub), Bias)
 		c.OPClearDefine(t, true)
 		if prior == Bias {
 			c.EndVoid(t)
 			return
 		}
-		l.lock.FetchAdd(t, l.ord.Get(SiteWriteUndoFAdd), Bias)
+		l.lock.FetchAdd(t, l.ord.Order(siteWriteUndoFAdd), Bias)
 		for {
-			v := l.lock.Load(t, l.ord.Get(SiteWriteSpinLoad))
+			v := l.lock.Load(t, l.ord.Order(siteWriteSpinLoad))
 			if v == Bias {
 				break
 			}
@@ -138,7 +151,7 @@ func (l *RWLock) WriteLock(t *checker.Thread) {
 // WriteUnlock releases the exclusive lock.
 func (l *RWLock) WriteUnlock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.writeUnlockName)
-	l.lock.FetchAdd(t, l.ord.Get(SiteWriteUnlockFAdd), Bias)
+	l.lock.FetchAdd(t, l.ord.Order(siteWriteUnlockFAdd), Bias)
 	c.OPDefine(t, true)
 	c.EndVoid(t)
 }
@@ -146,13 +159,13 @@ func (l *RWLock) WriteUnlock(t *checker.Thread) {
 // ReadTryLock attempts a read lock without blocking; 1 = acquired.
 func (l *RWLock) ReadTryLock(t *checker.Thread) memmodel.Value {
 	c := l.mon.Begin(t, l.readTrylockName)
-	prior := l.lock.FetchSub(t, l.ord.Get(SiteReadTryFSub), 1)
+	prior := l.lock.FetchSub(t, l.ord.Order(siteReadTryFSub), 1)
 	c.OPDefine(t, true)
 	if int64(prior) > 0 {
 		c.End(t, 1)
 		return 1
 	}
-	l.lock.FetchAdd(t, l.ord.Get(SiteReadUndoFAdd), 1)
+	l.lock.FetchAdd(t, l.ord.Order(siteReadUndoFAdd), 1)
 	c.End(t, 0)
 	return 0
 }
@@ -162,13 +175,13 @@ func (l *RWLock) ReadTryLock(t *checker.Thread) memmodel.Value {
 // restored on failure, so concurrent attempts can make each other fail.
 func (l *RWLock) WriteTryLock(t *checker.Thread) memmodel.Value {
 	c := l.mon.Begin(t, l.writeTrylockName)
-	prior := l.lock.FetchSub(t, l.ord.Get(SiteWriteTryFSub), Bias)
+	prior := l.lock.FetchSub(t, l.ord.Order(siteWriteTryFSub), Bias)
 	c.OPDefine(t, true)
 	if prior == Bias {
 		c.End(t, 1)
 		return 1
 	}
-	l.lock.FetchAdd(t, l.ord.Get(SiteWriteUndoFAdd), Bias)
+	l.lock.FetchAdd(t, l.ord.Order(siteWriteUndoFAdd), Bias)
 	c.End(t, 0)
 	return 0
 }

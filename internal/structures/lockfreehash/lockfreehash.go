@@ -31,19 +31,31 @@ const (
 	SiteGet2LoadVal = "get2_load_value"
 )
 
+// Site handles: each site's index in sites.
+const (
+	sitePutStoreKey memmodel.SiteID = iota + 1
+	sitePutStoreVal
+	siteGetLoadKey
+	siteGetLoadVal
+	siteGet2LoadKey
+	siteGet2LoadVal
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("lockfreehash", []memmodel.Site{
+	sitePutStoreKey: {Name: SitePutStoreKey, Class: memmodel.OpStore, Default: memmodel.SeqCst},
+	sitePutStoreVal: {Name: SitePutStoreVal, Class: memmodel.OpStore, Default: memmodel.SeqCst},
+	siteGetLoadKey:  {Name: SiteGetLoadKey, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
+	siteGetLoadVal:  {Name: SiteGetLoadVal, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
+	siteGet2LoadKey: {Name: SiteGet2LoadKey, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteGet2LoadVal: {Name: SiteGet2LoadVal, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+})
+
 // DefaultOrders returns the correct orders: seq_cst on the lock-free
 // fast path (put's stores and get's first search); the under-lock second
 // search is relaxed because the segment mutex already orders it.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SitePutStoreKey, Class: memmodel.OpStore, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SitePutStoreVal, Class: memmodel.OpStore, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteGetLoadKey, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteGetLoadVal, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteGet2LoadKey, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteGet2LoadVal, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 type slot struct {
 	key, val *checker.Atomic
@@ -63,13 +75,10 @@ type Table struct {
 
 // New builds a table with n slots (n per segment lock of 2).
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, n int) *Table {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	tbl := &Table{
 		putName: name + ".put",
 		getName: name + ".get",
-		ord:     ord,
+		ord:     sites.Resolve(ord),
 		mon:     core.Of(t),
 	}
 	keyName, valName, segName := name+".key", name+".val", name+".seg"
@@ -100,11 +109,11 @@ func (tbl *Table) Put(t *checker.Thread, key, val memmodel.Value) {
 		s := tbl.slots[(start+i)%len(tbl.slots)]
 		k := s.key.Load(t, memmodel.Acquire)
 		if k == 0 {
-			s.key.Store(t, tbl.ord.Get(SitePutStoreKey), key)
+			s.key.Store(t, tbl.ord.Order(sitePutStoreKey), key)
 			k = key
 		}
 		if k == key {
-			s.val.Store(t, tbl.ord.Get(SitePutStoreVal), val)
+			s.val.Store(t, tbl.ord.Order(sitePutStoreVal), val)
 			c.OPDefine(t, true) // the seq_cst value store
 			m.Unlock(t)
 			c.OPDefine(t, true) // the segment unlock (lock-path ordering)
@@ -123,9 +132,9 @@ func (tbl *Table) Get(t *checker.Thread, key memmodel.Value) memmodel.Value {
 	start := int(key) % len(tbl.slots)
 	for i := 0; i < len(tbl.slots); i++ {
 		s := tbl.slots[(start+i)%len(tbl.slots)]
-		k := s.key.Load(t, tbl.ord.Get(SiteGetLoadKey))
+		k := s.key.Load(t, tbl.ord.Order(siteGetLoadKey))
 		if k == key {
-			v := s.val.Load(t, tbl.ord.Get(SiteGetLoadVal))
+			v := s.val.Load(t, tbl.ord.Order(siteGetLoadVal))
 			if v != 0 {
 				c.OPDefine(t, true) // the seq_cst value load (sc edge to put)
 				c.End(t, v)
@@ -143,9 +152,9 @@ func (tbl *Table) Get(t *checker.Thread, key memmodel.Value) memmodel.Value {
 	var v memmodel.Value
 	for i := 0; i < len(tbl.slots); i++ {
 		s := tbl.slots[(start+i)%len(tbl.slots)]
-		k := s.key.Load(t, tbl.ord.Get(SiteGet2LoadKey))
+		k := s.key.Load(t, tbl.ord.Order(siteGet2LoadKey))
 		if k == key {
-			v = s.val.Load(t, tbl.ord.Get(SiteGet2LoadVal))
+			v = s.val.Load(t, tbl.ord.Order(siteGet2LoadVal))
 			break
 		}
 		if k == 0 {

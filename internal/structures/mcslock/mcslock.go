@@ -25,17 +25,29 @@ const (
 	SiteUnlockStoreLock = "unlock_store_locked"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteLockXchgTail memmodel.SiteID = iota + 1
+	siteLockStoreNext
+	siteLockSpinLocked
+	siteUnlockLoadNext
+	siteUnlockCASTail
+	siteUnlockStoreLock
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("mcslock", []memmodel.Site{
+	siteLockXchgTail:    {Name: SiteLockXchgTail, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
+	siteLockStoreNext:   {Name: SiteLockStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteLockSpinLocked:  {Name: SiteLockSpinLocked, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteUnlockLoadNext:  {Name: SiteUnlockLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteUnlockCASTail:   {Name: SiteUnlockCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteUnlockStoreLock: {Name: SiteUnlockStoreLock, Class: memmodel.OpStore, Default: memmodel.Release},
+})
+
 // DefaultOrders returns the correct orders.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteLockXchgTail, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
-		memmodel.Site{Name: SiteLockStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteLockSpinLocked, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteUnlockLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteUnlockCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteUnlockStoreLock, Class: memmodel.OpStore, Default: memmodel.Release},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 type qnode struct {
 	next   *checker.Atomic
@@ -58,15 +70,12 @@ type Lock struct {
 
 // New builds a free MCS lock.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	l := &Lock{
 		lockName:   name + ".lock",
 		unlockName: name + ".unlock",
 		nextName:   name + ".next",
 		lockedName: name + ".locked",
-		ord:        ord,
+		ord:        sites.Resolve(ord),
 		mon:        core.Of(t),
 		tail:       t.NewAtomicInit(name+".tail", 0),
 		holding:    map[int]memmodel.Value{},
@@ -92,15 +101,15 @@ func (l *Lock) Lock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.lockName)
 	me := l.newNode(t)
 	l.holding[t.ID()] = me
-	pred := l.tail.Exchange(t, l.ord.Get(SiteLockXchgTail), me)
+	pred := l.tail.Exchange(t, l.ord.Order(siteLockXchgTail), me)
 	if pred == 0 {
 		c.OPDefine(t, true) // uncontended: the exchange acquires
 		c.EndVoid(t)
 		return
 	}
-	l.nodes[pred].next.Store(t, l.ord.Get(SiteLockStoreNext), me)
+	l.nodes[pred].next.Store(t, l.ord.Order(siteLockStoreNext), me)
 	for {
-		if l.nodes[me].locked.Load(t, l.ord.Get(SiteLockSpinLocked)) == 0 {
+		if l.nodes[me].locked.Load(t, l.ord.Order(siteLockSpinLocked)) == 0 {
 			c.OPDefine(t, true) // the handoff read
 			c.EndVoid(t)
 			return
@@ -113,23 +122,23 @@ func (l *Lock) Lock(t *checker.Thread) {
 func (l *Lock) Unlock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.unlockName)
 	me := l.holding[t.ID()]
-	next := l.nodes[me].next.Load(t, l.ord.Get(SiteUnlockLoadNext))
+	next := l.nodes[me].next.Load(t, l.ord.Order(siteUnlockLoadNext))
 	if next == 0 {
-		if _, ok := l.tail.CAS(t, me, 0, l.ord.Get(SiteUnlockCASTail), memmodel.Relaxed); ok {
+		if _, ok := l.tail.CAS(t, me, 0, l.ord.Order(siteUnlockCASTail), memmodel.Relaxed); ok {
 			c.OPDefine(t, true) // released to empty: the tail CAS
 			c.EndVoid(t)
 			return
 		}
 		// A successor is linking itself: wait for the link.
 		for {
-			next = l.nodes[me].next.Load(t, l.ord.Get(SiteUnlockLoadNext))
+			next = l.nodes[me].next.Load(t, l.ord.Order(siteUnlockLoadNext))
 			if next != 0 {
 				break
 			}
 			t.Yield()
 		}
 	}
-	l.nodes[next].locked.Store(t, l.ord.Get(SiteUnlockStoreLock), 0)
+	l.nodes[next].locked.Store(t, l.ord.Order(siteUnlockStoreLock), 0)
 	c.OPDefine(t, true) // the handoff store
 	c.EndVoid(t)
 }

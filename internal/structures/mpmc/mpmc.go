@@ -34,23 +34,37 @@ const (
 	SiteDeqStoreSeq  = "deq_store_seq"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteEnqFAddPos memmodel.SiteID = iota + 1
+	siteEnqLoadSeq
+	siteEnqStoreData
+	siteEnqStoreSeq
+	siteDeqFAddPos
+	siteDeqLoadSeq
+	siteDeqLoadData
+	siteDeqStoreSeq
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("mpmc", []memmodel.Site{
+	siteEnqFAddPos:   {Name: SiteEnqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
+	siteEnqLoadSeq:   {Name: SiteEnqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqStoreData: {Name: SiteEnqStoreData, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteEnqStoreSeq:  {Name: SiteEnqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteDeqFAddPos:   {Name: SiteDeqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
+	siteDeqLoadSeq:   {Name: SiteDeqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqLoadData:  {Name: SiteDeqLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqStoreSeq:  {Name: SiteDeqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
+})
+
 // DefaultOrders returns the benchmark's orders. The seq_cst ticket
 // counters and the release/acquire data accesses are stronger than the
 // unit tests can observe (rollover protection and redundancy with the
 // sequence handoff, respectively); the sequence loads and stores carry
 // the synchronization clients actually rely on.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteEnqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqStoreData, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteDeqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 type slot struct {
 	seq  *checker.Atomic
@@ -72,13 +86,10 @@ type Queue struct {
 
 // New builds a queue with the given capacity.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int) *Queue {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	q := &Queue{
 		enqName: name + ".enq",
 		deqName: name + ".deq",
-		ord:     ord,
+		ord:     sites.Resolve(ord),
 		mon:     core.Of(t),
 		enqPos:  t.NewAtomicInit(name+".enqPos", 0),
 		deqPos:  t.NewAtomicInit(name+".deqPos", 0),
@@ -96,18 +107,18 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int)
 // Enq appends val, blocking while the queue is full.
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 	c := q.mon.Begin(t, q.enqName, val)
-	pos := q.enqPos.FetchAdd(t, q.ord.Get(SiteEnqFAddPos), 1)
+	pos := q.enqPos.FetchAdd(t, q.ord.Order(siteEnqFAddPos), 1)
 	c.SetAux("pos", pos)
 	s := q.slots[int(pos)%len(q.slots)]
 	for {
-		if s.seq.Load(t, q.ord.Get(SiteEnqLoadSeq)) == pos {
+		if s.seq.Load(t, q.ord.Order(siteEnqLoadSeq)) == pos {
 			break
 		}
 		t.Yield() // slot still owned by an earlier epoch
 	}
 	c.OPDefine(t, true) // the slot-acquisition sequence load
-	s.data.Store(t, q.ord.Get(SiteEnqStoreData), val)
-	s.seq.Store(t, q.ord.Get(SiteEnqStoreSeq), pos+1)
+	s.data.Store(t, q.ord.Order(siteEnqStoreData), val)
+	s.seq.Store(t, q.ord.Order(siteEnqStoreSeq), pos+1)
 	c.OPDefine(t, true) // the publishing sequence store
 	c.EndVoid(t)
 }
@@ -115,18 +126,18 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 // Deq removes and returns the oldest element, blocking while empty.
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
 	c := q.mon.Begin(t, q.deqName)
-	pos := q.deqPos.FetchAdd(t, q.ord.Get(SiteDeqFAddPos), 1)
+	pos := q.deqPos.FetchAdd(t, q.ord.Order(siteDeqFAddPos), 1)
 	c.SetAux("pos", pos)
 	s := q.slots[int(pos)%len(q.slots)]
 	for {
-		if s.seq.Load(t, q.ord.Get(SiteDeqLoadSeq)) == pos+1 {
+		if s.seq.Load(t, q.ord.Order(siteDeqLoadSeq)) == pos+1 {
 			break
 		}
 		t.Yield() // the producer has not published yet
 	}
 	c.OPDefine(t, true) // the successful sequence load
-	v := s.data.Load(t, q.ord.Get(SiteDeqLoadData))
-	s.seq.Store(t, q.ord.Get(SiteDeqStoreSeq), pos+memmodel.Value(len(q.slots)))
+	v := s.data.Load(t, q.ord.Order(siteDeqLoadData))
+	s.seq.Store(t, q.ord.Order(siteDeqStoreSeq), pos+memmodel.Value(len(q.slots)))
 	c.OPDefine(t, true) // the slot-release sequence store
 	c.End(t, v)
 	return v

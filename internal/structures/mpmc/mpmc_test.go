@@ -119,11 +119,8 @@ func TestInjectionSweep(t *testing.T) {
 }
 
 func injectionName(weak *memmodel.OrderTable) (desc, site string) {
-	def := DefaultOrders()
-	for _, s := range def.Sites() {
-		if weak.Get(s.Name) != s.Default {
-			return s.Name + "->" + weak.Get(s.Name).String(), s.Name
-		}
+	if c := weak.Changes(); len(c) > 0 {
+		return c[0].Name + "->" + c[0].Order.String(), c[0].Name
 	}
 	return "?", "?"
 }

@@ -38,26 +38,42 @@ const (
 	SiteDeqHelpCASTail = "deq_help_cas_tail"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteEnqLoadTail memmodel.SiteID = iota + 1
+	siteEnqLoadNext
+	siteEnqCASNext
+	siteEnqCASTail
+	siteEnqHelpCASTail
+	siteDeqLoadHead
+	siteDeqLoadTail
+	siteDeqLoadNext
+	siteDeqCASHead
+	siteDeqHelpCASTail
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("msqueue", []memmodel.Site{
+	siteEnqLoadTail:    {Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqLoadNext:    {Name: SiteEnqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqCASNext:     {Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteEnqCASTail:     {Name: SiteEnqCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteEnqHelpCASTail: {Name: SiteEnqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteDeqLoadHead:    {Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqLoadTail:    {Name: SiteDeqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteDeqLoadNext:    {Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqCASHead:     {Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteDeqHelpCASTail: {Name: SiteDeqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+})
+
 // DefaultOrders returns the correct minimal memory orders: acquire on
 // every pointer load that dereferences a node, release on every CAS that
 // publishes one, and relaxed where the value is only a hint (the deq-side
 // tail load, which is never dereferenced, and the lagging-tail helping
 // CASes — the next-CAS is the real publication). Relaxed sites cannot be
 // weakened further, so the injection set is the seven load-bearing sites.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // KnownBugEnqueue is the first §6.4.1 bug: the enqueue-side publication
 // CAS is too weak, so a dequeuer can reach a node whose contents were
@@ -97,15 +113,12 @@ type Queue struct {
 
 // New builds an empty queue with a dummy node.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	q := &Queue{
 		enqName:  name + ".enq",
 		deqName:  name + ".deq",
 		nextName: name + ".next",
 		dataName: name + ".data",
-		ord:      ord,
+		ord:      sites.Resolve(ord),
 		mon:      core.Of(t),
 	}
 	q.nodes = append(q.nodes, nil) // handle 0 = NULL
@@ -134,18 +147,18 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 	c := q.mon.Begin(t, q.enqName, val)
 	n := q.newNode(t, val)
 	for {
-		tl := q.tail.Load(t, q.ord.Get(SiteEnqLoadTail))
-		next := q.node(tl).next.Load(t, q.ord.Get(SiteEnqLoadNext))
+		tl := q.tail.Load(t, q.ord.Order(siteEnqLoadTail))
+		next := q.node(tl).next.Load(t, q.ord.Order(siteEnqLoadNext))
 		if next == 0 {
-			if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord.Get(SiteEnqCASNext), memmodel.Relaxed); ok {
+			if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord.Order(siteEnqCASNext), memmodel.Relaxed); ok {
 				c.OPDefine(t, true) // the successful publication CAS
-				q.tail.CAS(t, tl, n, q.ord.Get(SiteEnqCASTail), memmodel.Relaxed)
+				q.tail.CAS(t, tl, n, q.ord.Order(siteEnqCASTail), memmodel.Relaxed)
 				c.EndVoid(t)
 				return
 			}
 		} else {
 			// Help the lagging enqueuer swing the tail.
-			q.tail.CAS(t, tl, next, q.ord.Get(SiteEnqHelpCASTail), memmodel.Relaxed)
+			q.tail.CAS(t, tl, next, q.ord.Order(siteEnqHelpCASTail), memmodel.Relaxed)
 		}
 		t.Yield()
 	}
@@ -155,9 +168,9 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
 	c := q.mon.Begin(t, q.deqName)
 	for {
-		h := q.head.Load(t, q.ord.Get(SiteDeqLoadHead))
-		tl := q.tail.Load(t, q.ord.Get(SiteDeqLoadTail))
-		next := q.node(h).next.Load(t, q.ord.Get(SiteDeqLoadNext))
+		h := q.head.Load(t, q.ord.Order(siteDeqLoadHead))
+		tl := q.tail.Load(t, q.ord.Order(siteDeqLoadTail))
+		next := q.node(h).next.Load(t, q.ord.Order(siteDeqLoadNext))
 		c.OPClearDefine(t, true) // the last iteration's next load
 		if h == tl {
 			if next == 0 {
@@ -165,10 +178,10 @@ func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
 				return Empty
 			}
 			// Tail is lagging: help.
-			q.tail.CAS(t, tl, next, q.ord.Get(SiteDeqHelpCASTail), memmodel.Relaxed)
+			q.tail.CAS(t, tl, next, q.ord.Order(siteDeqHelpCASTail), memmodel.Relaxed)
 		} else if next != 0 {
 			v := q.node(next).data.Load(t)
-			if _, ok := q.head.CAS(t, h, next, q.ord.Get(SiteDeqCASHead), memmodel.Relaxed); ok {
+			if _, ok := q.head.CAS(t, h, next, q.ord.Order(siteDeqCASHead), memmodel.Relaxed); ok {
 				c.End(t, v)
 				return v
 			}

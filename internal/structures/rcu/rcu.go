@@ -33,20 +33,33 @@ const (
 	SiteSyncLoadCnt = "sync_load_readers"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteLockFAdd memmodel.SiteID = iota + 1
+	siteLockFence
+	siteLoadPtr
+	siteUnlockFSub
+	siteStorePtr
+	siteWriteFence
+	siteSyncLoadCnt
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("rcu", []memmodel.Site{
+	siteLockFAdd:    {Name: SiteLockFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteLockFence:   {Name: SiteLockFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteLoadPtr:     {Name: SiteLoadPtr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteUnlockFSub:  {Name: SiteUnlockFSub, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteStorePtr:    {Name: SiteStorePtr, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteWriteFence:  {Name: SiteWriteFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteSyncLoadCnt: {Name: SiteSyncLoadCnt, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+})
+
 // DefaultOrders returns the correct orders: relaxed counter RMWs ordered
 // by seq_cst fences, acquire/release on the generation pointer, and an
 // acquire on the grace-period counter poll.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteLockFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteLockFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteLoadPtr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteUnlockFSub, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteStorePtr, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteWriteFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteSyncLoadCnt, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // RCU is the simulated RCU-protected single-pointer structure.
 type RCU struct {
@@ -64,14 +77,11 @@ type RCU struct {
 
 // New builds an RCU cell whose generation 0 holds initial.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, initial memmodel.Value) *RCU {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	r := &RCU{
 		readName:   name + ".read",
 		updateName: name + ".update",
 		genName:    name + ".gen",
-		ord:        ord,
+		ord:        sites.Resolve(ord),
 		mon:        core.Of(t),
 		readers:    t.NewAtomicInit(name+".readers", 0),
 	}
@@ -84,12 +94,12 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, initial memmo
 // dereference of the current generation, and rcu_read_unlock.
 func (r *RCU) Read(t *checker.Thread) memmodel.Value {
 	c := r.mon.Begin(t, r.readName)
-	r.readers.FetchAdd(t, r.ord.Get(SiteLockFAdd), 1)
-	checker.Fence(t, r.ord.Get(SiteLockFence))
-	g := r.ptr.Load(t, r.ord.Get(SiteLoadPtr))
+	r.readers.FetchAdd(t, r.ord.Order(siteLockFAdd), 1)
+	checker.Fence(t, r.ord.Order(siteLockFence))
+	g := r.ptr.Load(t, r.ord.Order(siteLoadPtr))
 	c.OPDefine(t, true) // the generation-pointer load
 	v := r.gens[g].Load(t)
-	r.readers.FetchSub(t, r.ord.Get(SiteUnlockFSub), 1)
+	r.readers.FetchSub(t, r.ord.Order(siteUnlockFSub), 1)
 	c.End(t, v)
 	return v
 }
@@ -101,10 +111,10 @@ func (r *RCU) Update(t *checker.Thread, v memmodel.Value) {
 	c := r.mon.Begin(t, r.updateName, v)
 	old := memmodel.Value(len(r.gens) - 1)
 	r.gens = append(r.gens, t.NewPlainInit(r.genName, v))
-	r.ptr.Store(t, r.ord.Get(SiteStorePtr), old+1)
+	r.ptr.Store(t, r.ord.Order(siteStorePtr), old+1)
 	c.OPDefine(t, true) // the generation-pointer store
-	checker.Fence(t, r.ord.Get(SiteWriteFence))
-	for r.readers.Load(t, r.ord.Get(SiteSyncLoadCnt)) != 0 {
+	checker.Fence(t, r.ord.Order(siteWriteFence))
+	for r.readers.Load(t, r.ord.Order(siteSyncLoadCnt)) != 0 {
 		t.Yield()
 	}
 	// Grace period over: reclaim the old generation. If a reader can

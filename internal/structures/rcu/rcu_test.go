@@ -95,11 +95,8 @@ func TestInjectionSweep(t *testing.T) {
 }
 
 func injectionName(weak *memmodel.OrderTable) string {
-	def := DefaultOrders()
-	for _, s := range def.Sites() {
-		if weak.Get(s.Name) != s.Default {
-			return s.Name + "->" + weak.Get(s.Name).String()
-		}
+	if c := weak.Changes(); len(c) > 0 {
+		return c[0].Name + "->" + c[0].Order.String()
 	}
 	return "?"
 }

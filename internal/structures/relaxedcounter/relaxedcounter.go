@@ -23,13 +23,21 @@ const (
 	SiteReadLoad = "read_load"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteIncFAdd memmodel.SiteID = iota + 1
+	siteReadLoad
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("relaxedcounter", []memmodel.Site{
+	siteIncFAdd:  {Name: SiteIncFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteReadLoad: {Name: SiteReadLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+})
+
 // DefaultOrders returns the all-relaxed configuration.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteIncFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteReadLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // Counter is the simulated relaxed counter.
 type Counter struct {
@@ -43,13 +51,10 @@ type Counter struct {
 
 // New builds a counter at zero.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Counter {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	return &Counter{
 		incName:  name + ".inc",
 		readName: name + ".read",
-		ord:      ord,
+		ord:      sites.Resolve(ord),
 		mon:      core.Of(t),
 		cell:     t.NewAtomicInit(name+".cell", 0),
 	}
@@ -58,7 +63,7 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Counter {
 // Inc increments the counter.
 func (c *Counter) Inc(t *checker.Thread) {
 	cc := c.mon.Begin(t, c.incName)
-	c.cell.FetchAdd(t, c.ord.Get(SiteIncFAdd), 1)
+	c.cell.FetchAdd(t, c.ord.Order(siteIncFAdd), 1)
 	cc.OPDefine(t, true) // the RMW
 	cc.EndVoid(t)
 }
@@ -66,7 +71,7 @@ func (c *Counter) Inc(t *checker.Thread) {
 // Read returns the current count (possibly stale).
 func (c *Counter) Read(t *checker.Thread) memmodel.Value {
 	cc := c.mon.Begin(t, c.readName)
-	v := c.cell.Load(t, c.ord.Get(SiteReadLoad))
+	v := c.cell.Load(t, c.ord.Order(siteReadLoad))
 	cc.OPDefine(t, true) // the load
 	cc.End(t, v)
 	return v

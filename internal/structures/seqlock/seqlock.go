@@ -30,22 +30,35 @@ const (
 	SiteReadLoadSeq2  = "read_load_seq2"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteWriteLoadSeq memmodel.SiteID = iota + 1
+	siteWriteCASSeq
+	siteWriteStoreDat
+	siteWriteStoreSeq
+	siteReadLoadSeq1
+	siteReadLoadData
+	siteReadLoadSeq2
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("seqlock", []memmodel.Site{
+	siteWriteLoadSeq:  {Name: SiteWriteLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteWriteCASSeq:   {Name: SiteWriteCASSeq, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
+	siteWriteStoreDat: {Name: SiteWriteStoreDat, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteWriteStoreSeq: {Name: SiteWriteStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteReadLoadSeq1:  {Name: SiteReadLoadSeq1, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteReadLoadData:  {Name: SiteReadLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteReadLoadSeq2:  {Name: SiteReadLoadSeq2, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+})
+
 // DefaultOrders returns the correct orders of the C11 seqlock: the
 // reader's second sequence load is relaxed by design (ordered by the
 // acquire on the payload loads), and the writer's initial sequence load
 // is a relaxed hint (the acq_rel CAS revalidates it), leaving five
 // injectable sites.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteWriteLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteWriteCASSeq, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
-		memmodel.Site{Name: SiteWriteStoreDat, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteWriteStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteReadLoadSeq1, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteReadLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteReadLoadSeq2, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // Seqlock is the simulated sequence lock protecting one data word.
 type Seqlock struct {
@@ -62,13 +75,10 @@ type Seqlock struct {
 
 // New builds a seqlock holding value 0 in both words at sequence 0.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Seqlock {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	return &Seqlock{
 		writeName: name + ".write",
 		readName:  name + ".read",
-		ord:       ord,
+		ord:       sites.Resolve(ord),
 		mon:       core.Of(t),
 		seq:       t.NewAtomicInit(name+".seq", 0),
 		data1:     t.NewAtomicInit(name+".data1", 0),
@@ -80,12 +90,12 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Seqlock {
 func (s *Seqlock) Write(t *checker.Thread, v memmodel.Value) {
 	c := s.mon.Begin(t, s.writeName, v)
 	for {
-		seq := s.seq.Load(t, s.ord.Get(SiteWriteLoadSeq))
+		seq := s.seq.Load(t, s.ord.Order(siteWriteLoadSeq))
 		if seq%2 == 0 {
-			if _, ok := s.seq.CAS(t, seq, seq+1, s.ord.Get(SiteWriteCASSeq), memmodel.Relaxed); ok {
-				s.data1.Store(t, s.ord.Get(SiteWriteStoreDat), v)
-				s.data2.Store(t, s.ord.Get(SiteWriteStoreDat), v)
-				s.seq.Store(t, s.ord.Get(SiteWriteStoreSeq), seq+2)
+			if _, ok := s.seq.CAS(t, seq, seq+1, s.ord.Order(siteWriteCASSeq), memmodel.Relaxed); ok {
+				s.data1.Store(t, s.ord.Order(siteWriteStoreDat), v)
+				s.data2.Store(t, s.ord.Order(siteWriteStoreDat), v)
+				s.seq.Store(t, s.ord.Order(siteWriteStoreSeq), seq+2)
 				c.OPDefine(t, true) // the committing sequence store
 				c.EndVoid(t)
 				return
@@ -100,12 +110,12 @@ func (s *Seqlock) Write(t *checker.Thread, v memmodel.Value) {
 func (s *Seqlock) Read(t *checker.Thread) memmodel.Value {
 	c := s.mon.Begin(t, s.readName)
 	for {
-		seq1 := s.seq.Load(t, s.ord.Get(SiteReadLoadSeq1))
+		seq1 := s.seq.Load(t, s.ord.Order(siteReadLoadSeq1))
 		if seq1%2 == 0 {
-			v1 := s.data1.Load(t, s.ord.Get(SiteReadLoadData))
-			v2 := s.data2.Load(t, s.ord.Get(SiteReadLoadData))
+			v1 := s.data1.Load(t, s.ord.Order(siteReadLoadData))
+			v2 := s.data2.Load(t, s.ord.Order(siteReadLoadData))
 			c.OPClearDefine(t, true) // the validated payload read
-			seq2 := s.seq.Load(t, s.ord.Get(SiteReadLoadSeq2))
+			seq2 := s.seq.Load(t, s.ord.Order(siteReadLoadSeq2))
 			if seq1 == seq2 {
 				c.SetAux("v2", v2)
 				c.End(t, v1)

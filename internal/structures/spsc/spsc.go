@@ -21,13 +21,21 @@ const (
 	SiteDeqLoadNext  = "deq_load_next"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteEnqStoreNext memmodel.SiteID = iota + 1
+	siteDeqLoadNext
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("spsc", []memmodel.Site{
+	siteEnqStoreNext: {Name: SiteEnqStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteDeqLoadNext:  {Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+})
+
 // DefaultOrders returns the correct orders.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 type node struct {
 	next *checker.Atomic
@@ -51,15 +59,12 @@ type Queue struct {
 
 // New builds an empty queue with a dummy node.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	q := &Queue{
 		enqName:  name + ".enq",
 		deqName:  name + ".deq",
 		nextName: name + ".next",
 		dataName: name + ".data",
-		ord:      ord,
+		ord:      sites.Resolve(ord),
 		mon:      core.Of(t),
 	}
 	q.nodes = append(q.nodes, nil)
@@ -83,7 +88,7 @@ func (q *Queue) newNode(t *checker.Thread, val memmodel.Value) memmodel.Value {
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 	c := q.mon.Begin(t, q.enqName, val)
 	n := q.newNode(t, val)
-	q.nodes[q.tail].next.Store(t, q.ord.Get(SiteEnqStoreNext), n)
+	q.nodes[q.tail].next.Store(t, q.ord.Order(siteEnqStoreNext), n)
 	c.OPDefine(t, true) // the publishing next store
 	q.tail = n
 	c.EndVoid(t)
@@ -94,7 +99,7 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
 	c := q.mon.Begin(t, q.deqName)
 	for {
-		n := q.nodes[q.head].next.Load(t, q.ord.Get(SiteDeqLoadNext))
+		n := q.nodes[q.head].next.Load(t, q.ord.Order(siteDeqLoadNext))
 		c.OPClearDefine(t, true) // the successful next load
 		if n != 0 {
 			v := q.nodes[n].data.Load(t)

@@ -23,17 +23,26 @@ const (
 	SiteStoreServing = "unlock_store_serving"
 )
 
+// Site handles: each site's index in sites.
+const (
+	siteTakeTicket memmodel.SiteID = iota + 1
+	siteLoadServing
+	siteStoreServing
+)
+
+// sites declares the memory-order sites; DefaultOrders documents their
+// default orders.
+var sites = memmodel.NewSiteList("ticketlock", []memmodel.Site{
+	siteTakeTicket:   {Name: SiteTakeTicket, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteLoadServing:  {Name: SiteLoadServing, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStoreServing: {Name: SiteStoreServing, Class: memmodel.OpStore, Default: memmodel.Release},
+})
+
 // DefaultOrders returns the correct orders. The ticket fetch_add is
 // relaxed by design (terminal, not weakenable), leaving two injectable
 // sites — matching the two injections Figure 8 reports for this
 // benchmark.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteTakeTicket, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteLoadServing, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStoreServing, Class: memmodel.OpStore, Default: memmodel.Release},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return sites.Table() }
 
 // Lock is the simulated ticket lock.
 type Lock struct {
@@ -53,13 +62,10 @@ type Lock struct {
 
 // New builds an unlocked ticket lock.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
-	if ord == nil {
-		ord = DefaultOrders()
-	}
 	return &Lock{
 		lockName:   name + ".lock",
 		unlockName: name + ".unlock",
-		ord:        ord,
+		ord:        sites.Resolve(ord),
 		mon:        core.Of(t),
 		curTicket:  t.NewAtomicInit(name+".curTicket", 0),
 		nowServing: t.NewAtomicInit(name+".nowServing", 0),
@@ -70,10 +76,10 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
 // Lock takes a ticket and spins until it is served.
 func (l *Lock) Lock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.lockName)
-	ticket := l.curTicket.FetchAdd(t, l.ord.Get(SiteTakeTicket), 1)
+	ticket := l.curTicket.FetchAdd(t, l.ord.Order(siteTakeTicket), 1)
 	l.ticket[t.ID()] = ticket
 	for {
-		serving := l.nowServing.Load(t, l.ord.Get(SiteLoadServing))
+		serving := l.nowServing.Load(t, l.ord.Order(siteLoadServing))
 		c.OPClearDefine(t, true) // the successful nowServing read
 		if serving == ticket {
 			c.EndVoid(t)
@@ -86,7 +92,7 @@ func (l *Lock) Lock(t *checker.Thread) {
 // Unlock serves the next ticket.
 func (l *Lock) Unlock(t *checker.Thread) {
 	c := l.mon.Begin(t, l.unlockName)
-	l.nowServing.Store(t, l.ord.Get(SiteStoreServing), l.ticket[t.ID()]+1)
+	l.nowServing.Store(t, l.ord.Order(siteStoreServing), l.ticket[t.ID()]+1)
 	c.OPDefine(t, true) // the nowServing store
 	c.EndVoid(t)
 }
